@@ -20,10 +20,18 @@ metadata + buffering, not the shared cache):
 * **streaming** -- ``check(streaming=True)`` at windows 1, 64 and
   unbounded: ended tasks are released at the next compaction sweep.
 
+A fourth scenario, **streaming-w64-jobs2**, checks the same churn as a v2
+JSONL file at window 64 with ``jobs=2``.  ``tracemalloc`` cannot see the
+shard workers, so this one is measured by each shard's
+``streaming.peak_window`` (live local entries at a sweep, from a
+``MetricsRecorder``) against the in-process ``streaming-w64`` peak window.
+
 Claims enforced (exit 1 otherwise): every scenario reports the same
 violations; ``streaming(64) < offline < materialized`` on peak bytes;
-and the streaming peak stays under ``--budget-mb`` however many events
-the trace holds -- the bounded-memory contract itself.
+the streaming peak stays under ``--budget-mb`` however many events
+the trace holds -- the bounded-memory contract itself; and each shard's
+peak window is at most twice the in-process one -- the same contract at
+shard edges.
 
 Standalone harness (same ``--quick`` / ``--json`` contract as the other
 benchmarks)::
@@ -40,6 +48,7 @@ import tracemalloc
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from repro.dpst import ArrayDPST, NodeKind, ROOT_ID  # noqa: E402
+from repro.obs import MetricsRecorder  # noqa: E402
 from repro.report import READ, WRITE, normalize_report  # noqa: E402
 from repro.runtime.events import MemoryEvent, TaskEndEvent  # noqa: E402
 from repro.session import CheckSession  # noqa: E402
@@ -99,12 +108,32 @@ def measured(label, fn):
     return report, peak, elapsed
 
 
+def peak_windows(path: str, jobs: int):
+    """Check *path* streaming at window 64; return the report and each
+    shard's ``streaming.peak_window`` (one entry at ``jobs=1``)."""
+    recorder = MetricsRecorder()
+    started = time.perf_counter()
+    report = CheckSession(
+        path, lca_cache=False, jobs=jobs, recorder=recorder
+    ).check(streaming=True, window=64)
+    elapsed = time.perf_counter() - started
+    snapshot = recorder.snapshot()
+    if jobs == 1:
+        return report, [snapshot.counters["streaming.peak_window"]], elapsed
+    return report, [
+        shard["counters"].get("streaming.peak_window", 0)
+        for shard in snapshot.shards
+    ], elapsed
+
+
 def bench_streaming(events: int, tmp: str) -> dict:
     print(f"generating {events} memory events of task churn ...", flush=True)
     trace = churn_trace(events)
     tasks = sum(1 for e in trace.events if isinstance(e, TaskEndEvent))
     path = os.path.join(tmp, "churn.trc")
     dump_trace(trace, path, format="columnar")
+    jsonl_path = os.path.join(tmp, "churn.jsonl")
+    dump_trace(trace, jsonl_path, format="jsonl")
     del trace
     print(f"  {tasks} tasks over {LOCATIONS + 1} locations, "
           f"{os.path.getsize(path) / 1e6:.2f} MB on disk", flush=True)
@@ -124,6 +153,16 @@ def bench_streaming(events: int, tmp: str) -> dict:
         label = "streaming-w" + ("inf" if window == 0 else str(window))
         run(label, lambda window=window: CheckSession(
             path, lca_cache=False).check(streaming=True, window=window))
+
+    _, (in_process,), _ = peak_windows(path, jobs=1)
+    report, shards, elapsed = peak_windows(jsonl_path, jobs=2)
+    print(f"  {'streaming-w64-jobs2':>16}: peak window {max(shards)} per shard "
+          f"(in-process {in_process}) in {elapsed:6.2f}s", flush=True)
+    reports["streaming-w64-jobs2"] = normalize_report(report)
+    results["scenarios"]["streaming-w64-jobs2"] = {
+        "shard_peak_windows": shards, "seconds": elapsed,
+    }
+    results["peak_window_w64"] = in_process
 
     canonical = reports["offline"]
     results["violations"] = len(canonical)
@@ -182,6 +221,14 @@ def main(argv=None) -> int:
         print(
             "FAIL: expected streaming-w64 < offline < materialized peaks, "
             f"got {streaming} / {offline} / {materialized}",
+            file=sys.stderr,
+        )
+        failed = True
+    shard_windows = scenarios["streaming-w64-jobs2"]["shard_peak_windows"]
+    if max(shard_windows) > 2 * results["peak_window_w64"]:
+        print(
+            f"FAIL: streaming-w64-jobs2 shard peak windows {shard_windows} "
+            f"exceed twice the in-process {results['peak_window_w64']}",
             file=sys.stderr,
         )
         failed = True

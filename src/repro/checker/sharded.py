@@ -26,9 +26,12 @@ Two input shapes:
   the parent never materializes the events and traces larger than RAM can
   be checked.
 
-Workers replay their shard with :func:`repro.trace.replay.replay_memory_events`
+Workers replay their shard with :func:`repro.trace.replay.replay_events`
 and return a :class:`~repro.report.ViolationReport`; the driver merges them
-with :meth:`ViolationReport.merge`.
+with :meth:`ViolationReport.merge`.  A shard holds its own memory events;
+a streaming checker's shard also holds every task lifecycle event, in
+trace order (:func:`checker_events`), so each worker releases finished
+tasks and its memory stays O(window).
 
 Static prefilter: ``skip_locations`` (normally produced by
 ``repro.static.lint`` serial-location proofs, via
@@ -58,10 +61,11 @@ from repro.checker.supervisor import (
     maybe_inject_fault,
     run_supervised,
 )
+from repro.checker.streaming import DEFAULT_WINDOW, StreamingChecker
 from repro.errors import CheckerError, TraceError
 from repro.report import ViolationReport
 from repro.runtime.events import MemoryEvent
-from repro.trace.replay import replay_memory_events
+from repro.trace.replay import replay_events
 from repro.trace.serialize import (
     TraceReader,
     dpst_from_dict,
@@ -121,25 +125,71 @@ def shard_for_location(location: Location, jobs: int) -> int:
     return location_shard_key(location) % jobs
 
 
+def checker_events(
+    source: Union[Trace, TraceReader],
+    checker,
+    shard: Optional[int] = None,
+    jobs: Optional[int] = None,
+) -> Iterable[object]:
+    """The event stream the built *checker* consumes from *source*.
+
+    A streaming checker consumes the task lifecycle as well as memory
+    events: a ``TaskEndEvent`` lets its compaction sweep release the
+    finished task's metadata.  It gets the full stream; every other
+    checker gets the memory events only.  For a :class:`TraceReader`,
+    ``shard``/``jobs`` keep one shard's memory events (and, for the full
+    stream, every non-memory event).  An in-memory :class:`Trace` is
+    returned whole; :func:`partition_events` shards it.
+    """
+    lifecycle = isinstance(checker, StreamingChecker)
+    if isinstance(source, Trace):
+        return source.events if lifecycle else source.memory_events()
+    view = source.events if lifecycle else source.memory_events
+    return view(shard=shard, jobs=jobs)
+
+
+def _shard_of(event: MemoryEvent, jobs: int, annotations) -> int:
+    """Shard of *event*, keyed on its annotation group when *annotations*
+    is given (members of a multi-variable group share a metadata cell)."""
+    location = event.location
+    if annotations is not None:
+        location = annotations.metadata_key(location)
+    return shard_for_location(location, jobs)
+
+
+def partition_events(
+    events: Iterable[object],
+    jobs: int,
+    annotations: Optional[AtomicAnnotations] = None,
+) -> List[List[object]]:
+    """Bucket *events* into ``jobs`` shards.
+
+    Each memory event goes to its location's shard; every other event is
+    copied into every shard.  Relative order within each shard is trace
+    order.  With non-trivial *annotations*, bucketing keys on
+    ``metadata_key`` so every member of a multi-variable group shares a
+    shard (they share a metadata cell).
+    """
+    shards: List[List[object]] = [[] for _ in range(jobs)]
+    if annotations is not None and annotations.trivial:
+        annotations = None
+    for event in events:
+        if isinstance(event, MemoryEvent):
+            shards[_shard_of(event, jobs, annotations)].append(event)
+        else:
+            for shard in shards:
+                shard.append(event)
+    return shards
+
+
 def partition_memory_events(
     events: Iterable[object],
     jobs: int,
     annotations: Optional[AtomicAnnotations] = None,
 ) -> List[List[MemoryEvent]]:
-    """Bucket the memory events of *events* into ``jobs`` shards.
-
-    Relative order within each shard is trace order.  With non-trivial
-    *annotations*, bucketing keys on ``metadata_key`` so every member of a
-    multi-variable group shares a shard (they share a metadata cell).
-    """
-    shards: List[List[MemoryEvent]] = [[] for _ in range(jobs)]
-    keyed = annotations is not None and not annotations.trivial
-    for event in events:
-        if not isinstance(event, MemoryEvent):
-            continue
-        key = annotations.metadata_key(event.location) if keyed else event.location
-        shards[shard_for_location(key, jobs)].append(event)
-    return shards
+    """:func:`partition_events` over the memory events of *events* only."""
+    memory = (event for event in events if isinstance(event, MemoryEvent))
+    return partition_events(memory, jobs, annotations)
 
 
 def _require_shardable(checker: CheckerSpec) -> None:
@@ -207,7 +257,7 @@ def _check_shard_events(
     dpst = None if dpst_dict is None else dpst_from_dict(dpst_dict)
     recorder = _worker_recorder(collect)
     started = time.perf_counter()
-    report = replay_memory_events(
+    report = replay_events(
         events,
         _fresh_checker(spec),
         dpst=dpst,
@@ -238,22 +288,20 @@ def _check_shard_from_file(
     maybe_inject_fault(shard_id, attempt)
     reader = TraceReader(path, strict=strict)
     try:
-        keyed = annotations is not None and not annotations.trivial
-
-        if keyed:
+        checker = _fresh_checker(spec)
+        if annotations is not None and not annotations.trivial:
             # Group-aware key: the line's "sk" stamp (raw location) may
             # not match metadata_key, so decode every line and re-key.
-            def shard_stream():
-                for event in reader.memory_events():
-                    key = annotations.metadata_key(event.location)
-                    if shard_for_location(key, jobs) == shard_id:
-                        yield event
-
-            events = shard_stream()
+            events = (
+                event
+                for event in checker_events(reader, checker)
+                if not isinstance(event, MemoryEvent)
+                or _shard_of(event, jobs, annotations) == shard_id
+            )
         else:
             # Fast path: the reader shard-filters raw lines by their "sk"
             # stamp, so this worker only JSON-decodes its own 1/jobs slice.
-            events = reader.memory_events(shard=shard_id, jobs=jobs)
+            events = checker_events(reader, checker, shard_id, jobs)
 
         recorder = _worker_recorder(collect)
         if skip_locations:
@@ -261,9 +309,9 @@ def _check_shard_from_file(
             # never sees the stream), counting into its private snapshot.
             events = filter_skipped(events, skip_locations, recorder)
         started = time.perf_counter()
-        report = replay_memory_events(
+        report = replay_events(
             events,
-            _fresh_checker(spec),
+            checker,
             dpst=reader.dpst,
             annotations=annotations,
             lca_cache=lca_cache,
@@ -402,8 +450,9 @@ def check_sharded(
         :class:`repro.checker.streaming.StreamingChecker` so every shard
         checks its event stream incrementally with a compaction sweep
         each *window* events (``None`` -> the default window, ``0`` ->
-        never sweep).  Each worker compacts its own shard; reports stay
-        identical to the offline run at every window.
+        never sweep).  Each worker compacts its own shard, which carries
+        every task lifecycle event too; reports stay identical to the
+        offline run at every window.
 
     Returns the merged, deduplicated :class:`ViolationReport`.
     """
@@ -416,8 +465,6 @@ def check_sharded(
             "streaming=True (or drop window=)"
         )
     if streaming:
-        from repro.checker.streaming import DEFAULT_WINDOW, StreamingChecker
-
         if not isinstance(checker, StreamingChecker):
             checker = StreamingChecker(
                 window=(
@@ -515,18 +562,16 @@ def _check_single(
             if collect:
                 recorder.count("sharded.resumed_shards")
             return cached[0]
-    events: Iterable[MemoryEvent]
-    if trace is not None:
-        events, dpst = trace.memory_events(), trace.dpst
-    else:
-        events, dpst = reader.memory_events(), reader.dpst
+    analysis = make_checker(checker)
+    source = trace if trace is not None else reader
+    events = checker_events(source, analysis)
     if skip_locations:
         events = filter_skipped(events, skip_locations, recorder)
     skipped_before = reader.lines_skipped if reader is not None else 0
-    report = replay_memory_events(
+    report = replay_events(
         events,
-        make_checker(checker),
-        dpst=dpst,
+        analysis,
+        dpst=source.dpst,
         annotations=annotations,
         lca_cache=lca_cache,
         parallel_engine=parallel_engine,
@@ -577,14 +622,14 @@ def _check_supervised(
     with sharded_span:
         if trace is not None:
             with span(SPAN_PARTITION):
-                source_events: Iterable[object] = trace.events
+                source_events = checker_events(trace, make_checker(checker))
                 if skip_locations:
                     source_events = filter_skipped(
                         source_events,
                         skip_locations,
                         recorder if collect else None,
                     )
-                shards = partition_memory_events(source_events, jobs, annotations)
+                shards = partition_events(source_events, jobs, annotations)
                 dpst_dict = None if trace.dpst is None else dpst_to_dict(trace.dpst)
                 tasks = [
                     ShardTask(
@@ -596,7 +641,7 @@ def _check_supervised(
                         ),
                     )
                     for index, shard in enumerate(shards)
-                    if shard
+                    if any(isinstance(event, MemoryEvent) for event in shard)
                 ]
             if not tasks:
                 if collect:

@@ -15,6 +15,11 @@ leg                  configuration
                      registering an engine automatically extends the
                      matrix)
 ``sharded-jobs4``    same checker through the location-sharded pipeline
+``streaming-jobs4-`` the streaming checker, sharded, at window 1: each
+``w1``               shard gets the task ends in trace order, and a sweep
+                     after every event would release a task's cells
+                     early -- dropping violations -- if a task end ever
+                     overtook that task's last access in its shard
 ``prefilter``        same checker with the static prefilter applied
                      (the spec is exactly lintable, so refusals are rare
                      and recorded, never silent)
@@ -101,6 +106,7 @@ def exact_legs(reference: str = "lca") -> Tuple[str, ...]:
     )
     return engines + (
         "sharded-jobs4",
+        "streaming-jobs4-w1",
         "prefilter",
         "prefilter-poisoned",
         "replay",
@@ -273,6 +279,10 @@ def check_spec(
         exact(
             f"sharded-jobs{jobs}",
             session.check(jobs=jobs, mode="thorough"),
+        )
+        exact(
+            f"streaming-jobs{jobs}-w1",
+            session.check(jobs=jobs, streaming=True, window=1, mode="thorough"),
         )
     exact("prefilter", _prefilter_leg(session, spec, outcome))
     exact("prefilter-poisoned", _poisoned_prefilter_leg(session, spec, outcome))

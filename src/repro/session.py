@@ -37,11 +37,10 @@ from typing import Any, Dict, Optional, Union
 
 from repro.checker import checker_name_of, make_checker
 from repro.checker.annotations import AtomicAnnotations
-from repro.checker.sharded import CheckerSpec, check_sharded, filter_skipped
+from repro.checker.sharded import CheckerSpec, check_sharded
 from repro.errors import TraceError
 from repro.report import ViolationReport
 from repro.runtime.program import TaskProgram, run_program
-from repro.trace.replay import replay_events, replay_memory_events
 from repro.trace.serialize import TraceReader, open_trace
 from repro.trace.trace import Trace
 
@@ -443,8 +442,6 @@ class CheckSession:
         fault_options: Optional[Dict[str, Any]] = None,
     ) -> ViolationReport:
         fault_options = fault_options or {}
-        if jobs == 1 and not fault_options.get("checkpoint_dir"):
-            return self._check_in_process(spec, engine, skip_locations)
         return check_sharded(
             self._sharded_source(),
             checker=spec,
@@ -485,56 +482,6 @@ class CheckSession:
         if self._reader is not None:
             return self._reader
         return self.trace  # program: record, then shard the trace
-
-    def _check_in_process(
-        self,
-        spec: CheckerSpec,
-        engine: Optional[str] = None,
-        skip_locations: Optional[frozenset] = None,
-    ) -> ViolationReport:
-        """jobs=1: stream file sources, replay in-memory ones."""
-        from repro.checker.streaming import StreamingChecker
-
-        analysis = make_checker(spec)
-        # Streaming checkers get the *full* event stream: task-end events
-        # let the compaction sweep release finished tasks' metadata.
-        # Plain checkers keep the memory-only stream (and its replay
-        # function) they have always had.
-        full_stream = isinstance(analysis, StreamingChecker)
-        file_stream = self._trace is None and self._reader is not None
-        if file_stream:
-            # File source: never materialize the event list.
-            events = (
-                self._reader.events()
-                if full_stream
-                else self._reader.memory_events()
-            )
-            dpst = self._reader.dpst
-            skipped_before = self._reader.lines_skipped
-        else:
-            events = self.trace.events if full_stream else self.trace.memory_events()
-            dpst = self.trace.dpst
-        if skip_locations:
-            if self.recorder.enabled:
-                self.recorder.count(
-                    "static.prefilter.locations", len(skip_locations)
-                )
-            events = filter_skipped(events, skip_locations, self.recorder)
-        replay = replay_events if full_stream else replay_memory_events
-        report = replay(
-            events,
-            analysis,
-            dpst=dpst,
-            annotations=self.annotations,
-            lca_cache=self.lca_cache,
-            parallel_engine=self.engine if engine is None else engine,
-            recorder=self.recorder,
-        )
-        if file_stream and self.recorder.enabled:
-            skipped = self._reader.lines_skipped - skipped_before
-            if skipped:
-                self.recorder.count("trace.lines_skipped", skipped)
-        return report
 
     # -- static analysis ---------------------------------------------------
 

@@ -496,31 +496,11 @@ class ColumnarTraceReader:
             )
         return payload
 
-    @staticmethod
-    def _columns(payload: bytes, n: int):
-        """Slice one frame payload into its parallel arrays."""
-        types = payload[:n]
-        seqs = struct.unpack_from(f"<{n}q", payload, n)
-        base = n + 8 * n
-        cols = [
-            struct.unpack_from(f"<{n}i", payload, base + k * 4 * n)
-            for k in range(5)
-        ]
-        return types, seqs, cols
-
     def _build_event(self, tag: int, seq: int, cols, index: int) -> object:
+        """Build one non-memory event from its frame columns."""
         f0 = cols[0][index]
         f1 = cols[1][index]
         f2 = cols[2][index]
-        if tag == _MEMORY_TAG:
-            return MemoryEvent(
-                seq,
-                f0,
-                f1,
-                self._locations[f2],
-                WRITE if cols[3][index] else READ,
-                self._locksets[cols[4][index]],
-            )
         if tag == 0:
             return TaskSpawnEvent(seq, f0, f1, f2)
         if tag == 1:
@@ -537,36 +517,21 @@ class ColumnarTraceReader:
             return ReleaseEvent(
                 seq, f0, f1, self._lock_table[f2], self._lock_table[cols[3][index]]
             )
-        raise TraceError(f"unknown event tag {tag} in {self.path!r}")
+        raise TraceError(f"unknown event tag {tag}")
 
     # -- streaming views ---------------------------------------------------
 
-    def events(self) -> Iterator[object]:
-        """Yield every event in file order (a fresh pass per call)."""
-        handle = self._open_stream()
-        try:
-            for offset, n in self._frames:
-                try:
-                    payload = self._frame_payload(handle, offset, n)
-                    types, seqs, cols = self._columns(payload, n)
-                except (TraceError, struct.error, OSError):
-                    if self.strict:
-                        raise
-                    self.lines_skipped += n
-                    continue
-                for index in range(n):
-                    try:
-                        event = self._build_event(
-                            types[index], seqs[index], cols, index
-                        )
-                    except (TraceError, IndexError):
-                        if self.strict:
-                            raise
-                        self.lines_skipped += 1
-                        continue
-                    yield event
-        finally:
-            self._release(handle)
+    def events(
+        self, shard: Optional[int] = None, jobs: Optional[int] = None
+    ) -> Iterator[object]:
+        """Yield every event in file order (a fresh pass per call).
+
+        With ``shard``/``jobs``, memory events of other shards are left
+        out and every other event is kept, in file order: the task
+        lifecycle a streaming shard worker needs next to its own
+        accesses.  Frames are routed as in :meth:`memory_events`.
+        """
+        return self._stream(shard, jobs, lifecycle=True)
 
     def __iter__(self) -> Iterator[object]:
         return self.events()
@@ -581,6 +546,13 @@ class ColumnarTraceReader:
         foreign-shard frame costs one bulk unpack and a few integer
         comparisons -- no location decode, no JSON, no event objects.
         """
+        return self._stream(shard, jobs, lifecycle=False)
+
+    def _stream(
+        self, shard: Optional[int], jobs: Optional[int], lifecycle: bool
+    ) -> Iterator[object]:
+        """One pass: this shard's memory events, plus every non-memory
+        event when *lifecycle* is set."""
         filtering = shard is not None and jobs is not None and jobs > 1
         sk = self._location_sk
         handle = self._open_stream()
@@ -594,18 +566,27 @@ class ColumnarTraceReader:
                     self.lines_skipped += n
                     continue
                 types = payload[:n]
-                if _MEMORY_TAG not in types:
+                if not lifecycle and _MEMORY_TAG not in types:
                     continue
                 base = n + 8 * n
                 locs = struct.unpack_from(f"<{n}i", payload, base + 2 * 4 * n)
                 try:
-                    if filtering:
+                    if filtering and lifecycle:
+                        selected = [
+                            i
+                            for i in range(n)
+                            if types[i] != _MEMORY_TAG
+                            or sk[locs[i]] % jobs == shard
+                        ]
+                    elif filtering:
                         selected = [
                             i
                             for i in range(n)
                             if types[i] == _MEMORY_TAG
                             and sk[locs[i]] % jobs == shard
                         ]
+                    elif lifecycle:
+                        selected = range(n)
                     else:
                         selected = [
                             i for i in range(n) if types[i] == _MEMORY_TAG
@@ -621,28 +602,30 @@ class ColumnarTraceReader:
                 if not selected:
                     continue
                 seqs = struct.unpack_from(f"<{n}q", payload, n)
-                tasks = struct.unpack_from(f"<{n}i", payload, base)
-                steps = struct.unpack_from(f"<{n}i", payload, base + 4 * n)
-                writes = struct.unpack_from(
-                    f"<{n}i", payload, base + 3 * 4 * n
-                )
-                sets = struct.unpack_from(f"<{n}i", payload, base + 4 * 4 * n)
+                cols = [
+                    struct.unpack_from(f"<{n}i", payload, base + k * 4 * n)
+                    for k in range(5)
+                ]
+                tasks, steps, _, writes, sets = cols
                 for i in selected:
                     try:
-                        event = MemoryEvent(
-                            seqs[i],
-                            tasks[i],
-                            steps[i],
-                            self._locations[locs[i]],
-                            WRITE if writes[i] else READ,
-                            self._locksets[sets[i]],
-                        )
-                    except IndexError:
+                        if types[i] == _MEMORY_TAG:
+                            event = MemoryEvent(
+                                seqs[i],
+                                tasks[i],
+                                steps[i],
+                                self._locations[locs[i]],
+                                WRITE if writes[i] else READ,
+                                self._locksets[sets[i]],
+                            )
+                        else:
+                            event = self._build_event(types[i], seqs[i], cols, i)
+                    except (TraceError, IndexError) as exc:
                         if self.strict:
                             raise TraceError(
                                 f"corrupt frame at offset {offset} in "
-                                f"{self.path!r}: table index out of range"
-                            )
+                                f"{self.path!r}: {exc}"
+                            ) from exc
                         self.lines_skipped += 1
                         continue
                     yield event

@@ -1,16 +1,17 @@
 """Offline replay of traces through checkers.
 
-The checkers are runtime observers, but they only consume memory events
-plus the DPST -- so any recorded (or generated, or permuted) trace can be
-fed to them without re-executing a program.  Replay is what lets the test
-suite demonstrate the paper's schedule-insensitivity claim: permuting the
-legal order of a trace's events never changes the optimized checker's
-verdict, while it very much changes Velodrome's.
+The checkers are runtime observers, but their verdicts rest only on the
+memory events plus the DPST -- so any recorded (or generated, or
+permuted) trace can be fed to them without re-executing a program.
+Replay is what lets the test suite demonstrate the paper's
+schedule-insensitivity claim: permuting the legal order of a trace's
+events never changes the optimized checker's verdict, while it very much
+changes Velodrome's.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from repro.checker.annotations import AtomicAnnotations
 from repro.dpst.base import DPSTBase
@@ -57,61 +58,15 @@ def _make_context(
     )
 
 
-def replay_memory_events(
-    events: Iterable[MemoryEvent],
-    checker: RuntimeObserver,
-    dpst: Optional[DPSTBase] = None,
-    annotations: Optional[AtomicAnnotations] = None,
-    lca_cache: bool = True,
-    parallel_engine: str = "lca",
-    recorder=None,
-) -> ViolationReport:
-    """Feed *events* (in the given order) to *checker*; return its report.
-
-    *dpst* is required for checkers that issue parallelism queries (the
-    basic and optimized checkers); Velodrome replays happily without one
-    because the events already carry their step ids.  *events* may be any
-    iterable, including a streaming generator over a trace file that never
-    materializes the full event list.
-
-    *recorder* is an optional :class:`repro.obs.Recorder`.  When enabled,
-    the replay runs under a ``"replay"`` span, counts the events routed,
-    and flushes the checker's and engine's accumulated counters at the
-    end.  When disabled (or ``None``) the per-event loop is exactly the
-    historical one -- observability costs nothing it does not use.
-    """
-    needs_tree = getattr(checker, "requires_lca", checker.requires_dpst)
-    if needs_tree and dpst is None:
-        raise TraceError(
-            f"{type(checker).__name__} needs the producing DPST to replay"
-        )
-    context = _make_context(dpst, annotations, lca_cache, parallel_engine, recorder)
-    if recorder is not None and recorder.enabled:
-        from repro.obs import (
-            SPAN_REPLAY,
-            flush_engine_stats,
-            flush_observer_metrics,
-        )
-
-        checker.on_run_begin(context)
-        routed = 0
-        with recorder.span(SPAN_REPLAY):
-            for event in events:
-                checker.on_memory(event)
-                routed += 1
-        checker.on_run_end(context)
-        recorder.count("trace.events.routed", routed)
-        flush_observer_metrics(recorder, checker)
-        flush_engine_stats(recorder, context.engine)
-    else:
-        checker.on_run_begin(context)
-        for event in events:
-            checker.on_memory(event)
-        checker.on_run_end(context)
-    report = getattr(checker, "report", None)
-    if not isinstance(report, ViolationReport):
-        raise TraceError(f"{type(checker).__name__} exposes no report")
-    return report
+#: Observer hook for each non-memory event type (memory goes to on_memory).
+_LIFECYCLE_HOOKS = (
+    (TaskEndEvent, "on_task_end"),
+    (TaskSpawnEvent, "on_task_spawn"),
+    (TaskBeginEvent, "on_task_begin"),
+    (SyncEvent, "on_sync"),
+    (AcquireEvent, "on_acquire"),
+    (ReleaseEvent, "on_release"),
+)
 
 
 def replay_events(
@@ -123,16 +78,28 @@ def replay_events(
     parallel_engine: str = "lca",
     recorder=None,
 ) -> ViolationReport:
-    """Feed a *full* event stream -- memory, task, sync, lock -- to *checker*.
+    """Feed *events* (in the given order) to *checker*; return its report.
 
-    :func:`replay_memory_events` is the right call for plain checkers,
-    which only consume memory events.  Streaming checkers additionally
-    want the task lifecycle: a ``TaskEndEvent`` proves a task's local
-    metadata dead, letting the windowed compaction sweep reclaim it (see
-    :class:`repro.checker.streaming.StreamingChecker`).  Each event is
-    dispatched to the matching observer hook; unknown event types are
-    ignored.  ``trace.events.routed`` still counts memory events only, so
-    the counter stays comparable with memory-only replays.
+    Each event goes to the matching observer hook: memory accesses to
+    ``on_memory``, task, sync and lock events to ``on_task_end`` and its
+    siblings; unknown event types are ignored.  A memory-only stream is
+    the common case -- plain checkers consume nothing else.  Streaming
+    checkers also want the task lifecycle: a ``TaskEndEvent`` proves a
+    task's local metadata dead, letting the windowed compaction sweep
+    reclaim it (see :class:`repro.checker.streaming.StreamingChecker`).
+
+    *dpst* is required for checkers that issue parallelism queries (the
+    basic and optimized checkers); Velodrome replays happily without one
+    because the events already carry their step ids.  *events* may be any
+    iterable, including a streaming generator over a trace file that never
+    materializes the full event list.
+
+    *recorder* is an optional :class:`repro.obs.Recorder`.  When enabled,
+    the replay runs under a ``"replay"`` span, counts the memory events
+    routed as ``trace.events.routed`` (so the counter is the same whether
+    or not the stream carries lifecycle events), and flushes the checker's
+    and engine's accumulated counters at the end.  When disabled (or
+    ``None``) observability costs nothing it does not use.
     """
     needs_tree = getattr(checker, "requires_lca", checker.requires_dpst)
     if needs_tree and dpst is None:
@@ -140,28 +107,26 @@ def replay_events(
             f"{type(checker).__name__} needs the producing DPST to replay"
         )
     context = _make_context(dpst, annotations, lca_cache, parallel_engine, recorder)
+    hooks = {
+        kind: getattr(checker, name)
+        for kind, name in _LIFECYCLE_HOOKS
+        if hasattr(checker, name)
+    }
 
     def drive() -> int:
         routed = 0
         on_memory = checker.on_memory
         for event in events:
-            if isinstance(event, MemoryEvent):
+            if type(event) is MemoryEvent:
                 on_memory(event)
                 routed += 1
-            elif isinstance(event, TaskEndEvent):
-                checker.on_task_end(event)
-            elif isinstance(event, TaskSpawnEvent):
-                checker.on_task_spawn(event)
-            elif isinstance(event, TaskBeginEvent):
-                checker.on_task_begin(event)
-            elif isinstance(event, SyncEvent):
-                checker.on_sync(event)
-            elif isinstance(event, AcquireEvent):
-                checker.on_acquire(event)
-            elif isinstance(event, ReleaseEvent):
-                checker.on_release(event)
+            else:
+                hook = hooks.get(type(event))
+                if hook is not None:
+                    hook(event)
         return routed
 
+    checker.on_run_begin(context)
     if recorder is not None and recorder.enabled:
         from repro.obs import (
             SPAN_REPLAY,
@@ -169,7 +134,6 @@ def replay_events(
             flush_observer_metrics,
         )
 
-        checker.on_run_begin(context)
         with recorder.span(SPAN_REPLAY):
             routed = drive()
         checker.on_run_end(context)
@@ -177,13 +141,16 @@ def replay_events(
         flush_observer_metrics(recorder, checker)
         flush_engine_stats(recorder, context.engine)
     else:
-        checker.on_run_begin(context)
         drive()
         checker.on_run_end(context)
     report = getattr(checker, "report", None)
     if not isinstance(report, ViolationReport):
         raise TraceError(f"{type(checker).__name__} exposes no report")
     return report
+
+
+#: The historical name, from when memory-only streams had their own body.
+replay_memory_events = replay_events
 
 
 def replay_trace(

@@ -446,28 +446,18 @@ class TraceReader:
             self._lines_skipped += 1
             return _SKIPPED
 
-    def events(self) -> Iterator[object]:
-        """Yield every event in file order (a fresh pass per call)."""
-        if self._closed:
-            raise TraceError(f"TraceReader for {self.path!r} is closed")
-        if self._v3 is not None:
-            yield from self._v3.events()
-            return
-        if self._v1_trace is not None:
-            yield from self._v1_trace.events
-            return
-        handle = self._open_stream()
-        try:
-            handle.readline()  # header
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                event = self._decode_line(line)
-                if event is not _SKIPPED:
-                    yield event
-        finally:
-            self._release(handle)
+    def events(
+        self, shard: Optional[int] = None, jobs: Optional[int] = None
+    ) -> Iterator[object]:
+        """Yield every event in file order (a fresh pass per call).
+
+        With ``shard``/``jobs``, memory events of other shards are left
+        out and every other event -- task lifecycle, syncs, locks -- is
+        kept, in file order.  That is the stream a streaming shard worker
+        checks: its own accesses plus the task ends that let it release
+        finished tasks.  Shard routing works as in :meth:`memory_events`.
+        """
+        return self._stream(shard, jobs, lifecycle=True)
 
     def __iter__(self) -> Iterator[object]:
         return self.events()
@@ -488,23 +478,35 @@ class TraceReader:
         filter runs over the columnar frames directly (see
         :meth:`repro.trace.columnar.ColumnarTraceReader.memory_events`).
         """
+        return self._stream(shard, jobs, lifecycle=False)
+
+    def _stream(
+        self, shard: Optional[int], jobs: Optional[int], lifecycle: bool
+    ) -> Iterator[object]:
+        """One pass: this shard's memory events, plus every non-memory
+        event when *lifecycle* is set."""
+        if self._closed:
+            raise TraceError(f"TraceReader for {self.path!r} is closed")
         if self._v3 is not None:
-            if self._closed:
-                raise TraceError(f"TraceReader for {self.path!r} is closed")
-            yield from self._v3.memory_events(shard=shard, jobs=jobs)
+            view = self._v3.events if lifecycle else self._v3.memory_events
+            yield from view(shard=shard, jobs=jobs)
             return
-        if shard is None or jobs is None or jobs <= 1:
-            for event in self.events():
+        filtering = shard is not None and jobs is not None and jobs > 1
+        if self._v1_trace is not None or not filtering:
+            for event in (
+                self._v1_trace.events
+                if self._v1_trace is not None
+                else self._decoded_lines()
+            ):
                 if isinstance(event, MemoryEvent):
-                    yield event
-            return
-        if self._v1_trace is not None:
-            for event in self._v1_trace.events:
-                if (
-                    isinstance(event, MemoryEvent)
-                    and location_shard_key(event.location) % jobs == shard
-                ):
-                    yield event
+                    if (
+                        filtering
+                        and location_shard_key(event.location) % jobs != shard
+                    ):
+                        continue
+                elif not lifecycle:
+                    continue
+                yield event
             return
         # Binary mode: foreign-shard lines are dropped after a bounded
         # bytes scan, without UTF-8 decoding or JSON parsing them.
@@ -517,19 +519,35 @@ class TraceReader:
                 if match is not None:
                     if int(match.group(1)) % jobs != shard:
                         continue
-                    event = self._decode_line(line)
-                    if event is not _SKIPPED:
-                        yield event
-                else:
-                    if not line.strip():
-                        continue
-                    event = self._decode_line(line)
+                elif not line.strip():
+                    continue
+                event = self._decode_line(line)
+                if event is _SKIPPED:
+                    continue
+                if isinstance(event, MemoryEvent):
                     if (
-                        event is not _SKIPPED
-                        and isinstance(event, MemoryEvent)
-                        and location_shard_key(event.location) % jobs == shard
+                        match is None
+                        and location_shard_key(event.location) % jobs != shard
                     ):
-                        yield event
+                        continue
+                elif not lifecycle:
+                    continue
+                yield event
+        finally:
+            self._release(handle)
+
+    def _decoded_lines(self) -> Iterator[object]:
+        """Decode every v2 event line in text mode."""
+        handle = self._open_stream()
+        try:
+            handle.readline()  # header
+            for line in handle:
+                line = line.strip()
+                if not line:
+                    continue
+                event = self._decode_line(line)
+                if event is not _SKIPPED:
+                    yield event
         finally:
             self._release(handle)
 

@@ -98,6 +98,24 @@ def test_suite_streaming_equals_offline(case):
         assert set(streamed.locations()) == set(case.expected), (case.name, window)
 
 
+@pytest.mark.parametrize("case", all_cases(), ids=lambda c: c.name)
+def test_suite_sharded_streaming_equals_offline(case):
+    """Shard workers get the task ends as well; at window 1 a task end
+    reaching a shard before that task's last access there would release
+    live cells and drop violations."""
+    program = case.build()
+    trace = run_program(
+        program, executor=SerialExecutor(), record_trace=True
+    ).trace
+    session = CheckSession(trace, annotations=program.annotations)
+    offline = normalize_report(session.check(mode="thorough"))
+    for jobs in (2, 4):
+        streamed = session.check(
+            jobs=jobs, streaming=True, window=1, mode="thorough"
+        )
+        assert normalize_report(streamed) == offline, (case.name, jobs)
+
+
 class TestSources:
     def test_file_sources_both_formats(self, tmp_path):
         trace = recorded_trace()
@@ -237,3 +255,220 @@ class TestCacheBypass:
         offline_session.check(cache_dir=str(tmp_path))
         assert offline_session.cache_info["applied"]
         assert not offline_session.cache_info["hit"]
+
+
+# ---------------------------------------------------------------------------
+# Bounded memory at shard edges: every shard sees the task ends
+# ---------------------------------------------------------------------------
+
+
+def _churn(events):
+    from benchmarks.bench_streaming import churn_trace
+
+    return churn_trace(events)
+
+
+def _streaming_counters(snapshot, jobs):
+    """Per-shard streaming counters (one entry for an in-process check)."""
+    if jobs == 1:
+        return [snapshot.counters]
+    return [shard["counters"] for shard in snapshot.shards]
+
+
+class TestShardedBoundedWindows:
+    """A sharded streaming check keeps each shard's window as small as the
+    in-process one, at any trace size and from any source.
+
+    Before shard workers received task ends they never released a task,
+    so each shard's peak window grew with the trace (thousands of live
+    entries where the in-process check holds under a hundred).
+    """
+
+    SIZES = (8_000, 32_000)
+    WINDOW = 64
+
+    @pytest.fixture(scope="class")
+    def churns(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("churn")
+        churns = {}
+        for size in self.SIZES:
+            trace = _churn(size)
+            paths = {}
+            for format, suffix in (("jsonl", ".jsonl"), ("columnar", ".trc")):
+                paths[format] = str(tmp / f"churn-{size}{suffix}")
+                dump_trace(trace, paths[format], format=format)
+            offline = normalize_report(CheckSession(paths["columnar"]).check())
+            churns[size] = (trace, paths, offline)
+        return churns
+
+    def streamed(self, source, jobs, **options):
+        recorder = MetricsRecorder()
+        report = CheckSession(source, jobs=jobs, recorder=recorder).check(
+            streaming=True, window=self.WINDOW, **options
+        )
+        return normalize_report(report), _streaming_counters(
+            recorder.snapshot(), jobs
+        )
+
+    def test_every_source_and_job_count(self, churns, tmp_path):
+        _, paths, _ = churns[self.SIZES[0]]
+        _, (baseline,) = self.streamed(paths["columnar"], jobs=1)
+        bound = 2 * baseline["streaming.peak_window"]
+        for size, (trace, paths, offline) in churns.items():
+            runs = [
+                (name, source, jobs, {})
+                for name, source in (
+                    ("v2", paths["jsonl"]),
+                    ("v3", paths["columnar"]),
+                    ("trace", trace),
+                )
+                for jobs in (2, 4)
+            ]
+            runs.append((
+                "checkpointed", paths["columnar"], 1,
+                {"checkpoint_dir": str(tmp_path / f"ck-{size}")},
+            ))
+            for name, source, jobs, options in runs:
+                label = (size, name, jobs)
+                normal, shards = self.streamed(source, jobs, **options)
+                assert normal == offline, label
+                assert len(shards) == jobs, label
+                for counters in shards:
+                    assert counters["streaming.evicted"] > 0, label
+                    assert counters["streaming.peak_window"] <= bound, (
+                        label, counters["streaming.peak_window"], bound
+                    )
+
+
+class TestShardedEventsView:
+    """``TraceReader.events(shard=, jobs=)``: one shard's memory events
+    plus every other event, in file order, for every trace format."""
+
+    def program_trace(self):
+        def body(ctx):
+            def worker(inner, i):
+                with inner.lock("m"):
+                    inner.write(("slot", i % 5), i)
+                inner.read(("private", i))
+
+            for i in range(10):
+                ctx.spawn(worker, i)
+            ctx.sync()
+
+        return run_program(
+            TaskProgram(body), executor=SerialExecutor(), record_trace=True
+        ).trace
+
+    def files(self, trace, tmp_path):
+        import json
+
+        files = {}
+        for format, suffix in (
+            ("json", ".json"), ("jsonl", ".jsonl"), ("columnar", ".trc")
+        ):
+            files[format] = str(tmp_path / ("t" + suffix))
+            dump_trace(trace, files[format], format=format)
+        # A v2 file from another producer: no "sk" stamps to filter on.
+        with open(files["jsonl"]) as handle:
+            lines = handle.read().splitlines()
+        unstamped = [lines[0]]
+        for line in lines[1:]:
+            row = json.loads(line)
+            row.pop("sk", None)
+            unstamped.append(json.dumps(row))
+        files["jsonl-unstamped"] = str(tmp_path / "unstamped.jsonl")
+        with open(files["jsonl-unstamped"], "w") as handle:
+            handle.write("\n".join(unstamped) + "\n")
+        return files
+
+    @pytest.mark.parametrize("jobs", [2, 4])
+    def test_partition_and_lifecycle_order(self, tmp_path, jobs):
+        from repro.checker.sharded import shard_for_location
+        from repro.runtime.events import MemoryEvent
+        from repro.trace.serialize import open_trace
+
+        trace = self.program_trace()
+        for format, path in self.files(trace, tmp_path).items():
+            with open_trace(path) as reader:
+                full = list(reader.events())
+                memory = list(reader.memory_events())
+                lifecycle = [e for e in full if not isinstance(e, MemoryEvent)]
+                assert lifecycle, format
+                owned = []
+                for shard in range(jobs):
+                    view = list(reader.events(shard=shard, jobs=jobs))
+                    assert view == [
+                        e for e in full
+                        if not isinstance(e, MemoryEvent)
+                        or shard_for_location(e.location, jobs) == shard
+                    ], (format, shard)
+                    assert [
+                        e for e in view if not isinstance(e, MemoryEvent)
+                    ] == lifecycle, (format, shard)
+                    owned.extend(e for e in view if isinstance(e, MemoryEvent))
+                assert sorted(owned, key=lambda e: e.seq) == memory, format
+                assert len(owned) == len(memory), format
+
+
+class TestAnnotationKeyedShards:
+    """Grouped annotations re-key every decoded line in the worker; the
+    task ends must still reach each shard through that path."""
+
+    def program(self):
+        from repro.checker.annotations import AtomicAnnotations
+
+        def audit(ctx):
+            ctx.read("checking")
+            ctx.read("savings")
+
+        def move(ctx):
+            ctx.write("checking", 0)
+            ctx.write("savings", 100)
+
+        def churn(ctx, i):
+            ctx.write(("slot", i % 8), i)
+            ctx.read(("slot", i % 8))
+
+        def main(ctx):
+            ctx.spawn(audit)
+            ctx.spawn(move)
+            ctx.sync()
+            for i in range(64):
+                ctx.spawn(churn, i)
+                if i % 8 == 7:
+                    ctx.sync()
+
+        annotations = (
+            AtomicAnnotations()
+            .annotate_group("account", ["checking", "savings"])
+            .annotate_prefix("slot")
+        )
+        return TaskProgram(
+            main,
+            initial_memory={"checking": 100, "savings": 0},
+            annotations=annotations,
+        )
+
+    def test_keyed_file_worker_streams_lifecycle(self, tmp_path):
+        program = self.program()
+        trace = run_program(
+            program, executor=SerialExecutor(), record_trace=True
+        ).trace
+        offline = normalize_report(
+            CheckSession(trace, annotations=program.annotations).check()
+        )
+        assert offline  # the cross-variable violation exists
+        for format, suffix in (("jsonl", ".jsonl"), ("columnar", ".trc")):
+            path = str(tmp_path / ("t" + suffix))
+            dump_trace(trace, path, format=format)
+            for source in (path, trace):
+                recorder = MetricsRecorder()
+                report = CheckSession(
+                    source, jobs=2, annotations=program.annotations,
+                    recorder=recorder,
+                ).check(streaming=True, window=1)
+                assert normalize_report(report) == offline, format
+                shards = recorder.snapshot().shards
+                assert len(shards) == 2, format
+                for shard in shards:
+                    assert shard["counters"]["streaming.evicted"] > 0, format
