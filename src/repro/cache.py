@@ -76,6 +76,15 @@ def trace_digest(trace: Trace) -> str:
     return digest.hexdigest()
 
 
+def source_digest(source: Any) -> str:
+    """The trace digest results are keyed on: ``"trace:"`` +
+    :func:`trace_digest` for an in-memory :class:`Trace`, else ``"file:"``
+    + :func:`file_digest` of the reader's file."""
+    if isinstance(source, Trace):
+        return "trace:" + trace_digest(source)
+    return "file:" + file_digest(source.path)
+
+
 def checker_cache_token(spec: Any, kwargs: Optional[Dict[str, Any]] = None) -> Optional[str]:
     """A stable identity token for a checker request, or ``None``.
 

@@ -11,7 +11,7 @@ the basic checker (per-location access histories) and the race detector
 (per-location shadow cells); such observers advertise it with
 ``location_sharded = True``.  Velodrome does *not* qualify: its
 happens-before graph spans locations, and sharding would silently drop
-cross-location cycles, so the driver refuses it for ``jobs > 1``.
+cross-location cycles, so its check plan is refused for ``jobs > 1``.
 
 Sharding key: multi-variable annotation groups share one metadata cell, so
 events are bucketed by ``annotations.metadata_key(location)`` -- a group's
@@ -49,9 +49,10 @@ import contextlib
 import multiprocessing
 import os
 import time
-from typing import Any, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Any, Hashable, Iterable, List, Optional, Tuple, Union
 
-from repro.checker import checker_name_of, make_checker
+from repro.checker import make_checker
 from repro.checker.annotations import AtomicAnnotations
 from repro.checker.supervisor import (
     CheckpointStore,
@@ -61,8 +62,9 @@ from repro.checker.supervisor import (
     maybe_inject_fault,
     run_supervised,
 )
-from repro.checker.streaming import DEFAULT_WINDOW, StreamingChecker
+from repro.checker.streaming import StreamingChecker
 from repro.errors import CheckerError, TraceError
+from repro.plan import CheckPlan, default_jobs  # noqa: F401 -- re-exported
 from repro.report import ViolationReport
 from repro.runtime.events import MemoryEvent
 from repro.trace.replay import replay_events
@@ -192,25 +194,33 @@ def partition_memory_events(
     return partition_events(memory, jobs, annotations)
 
 
-def _require_shardable(checker: CheckerSpec) -> None:
-    """Raise :class:`CheckerError` unless *checker* is per-location."""
-    prototype = make_checker(checker) if isinstance(checker, str) else checker
-    if not getattr(prototype, "location_sharded", False):
-        raise CheckerError(
-            f"checker {checker_name_of(checker)!r} is not location-sharded "
-            "(its verdict depends on cross-location event order); "
-            "run it with jobs=1"
-        )
+@dataclass(frozen=True)
+class ShardReplay:
+    """What every shard of one check replays with: the plan, plus the
+    source-side settings a plan does not carry.
 
-
-def _fresh_checker(spec: CheckerSpec):
-    """Instantiate one shard's checker from a (possibly pickled) spec.
-
-    Worker processes each get their own unpickled copy of an instance
-    spec, so sharing a pre-built instance across shards is safe -- every
-    shard replays into private state.
+    Picklable and shipped to every worker; each worker unpickles its own
+    copy of an instance checker spec, so sharing a pre-built instance
+    across shards is safe -- every shard replays into private state.
     """
-    return make_checker(spec)
+
+    plan: CheckPlan
+    annotations: Optional[AtomicAnnotations]
+    lca_cache: bool
+    skip_locations: SkipLocations
+    strict: bool
+    collect: bool
+
+    def replay(self, events: Iterable[object], checker, dpst, recorder):
+        return replay_events(
+            events,
+            checker,
+            dpst=dpst,
+            annotations=self.annotations,
+            lca_cache=self.lca_cache,
+            parallel_engine=self.plan.engine,
+            recorder=recorder,
+        )
 
 
 # -- worker bodies (top level so multiprocessing can pickle them) -----------
@@ -240,55 +250,31 @@ def _worker_snapshot(recorder, elapsed: float):
 
 
 def _check_shard_events(
-    payload: Tuple[Any, ...], attempt: int = 0
+    payload: Tuple[int, ShardReplay, Optional[dict], List[object]],
+    attempt: int = 0,
 ) -> Tuple[ViolationReport, Optional[dict]]:
     """Replay one pre-partitioned shard of in-memory events."""
-    (
-        shard_id,
-        dpst_dict,
-        events,
-        spec,
-        annotations,
-        lca_cache,
-        parallel_engine,
-        collect,
-    ) = payload
+    shard_id, run, dpst_dict, events = payload
     maybe_inject_fault(shard_id, attempt)
     dpst = None if dpst_dict is None else dpst_from_dict(dpst_dict)
-    recorder = _worker_recorder(collect)
+    recorder = _worker_recorder(run.collect)
     started = time.perf_counter()
-    report = replay_events(
-        events,
-        _fresh_checker(spec),
-        dpst=dpst,
-        annotations=annotations,
-        lca_cache=lca_cache,
-        parallel_engine=parallel_engine,
-        recorder=recorder,
-    )
+    checker = make_checker(run.plan.analysis)
+    report = run.replay(events, checker, dpst, recorder)
     return report, _worker_snapshot(recorder, time.perf_counter() - started)
 
 
 def _check_shard_from_file(
-    payload: Tuple[Any, ...], attempt: int = 0
+    payload: Tuple[int, ShardReplay, str], attempt: int = 0
 ) -> Tuple[ViolationReport, Optional[dict]]:
     """Stream a trace file and replay only this worker's shard."""
-    (
-        shard_id,
-        path,
-        jobs,
-        spec,
-        annotations,
-        lca_cache,
-        parallel_engine,
-        collect,
-        skip_locations,
-        strict,
-    ) = payload
+    shard_id, run, path = payload
+    jobs = run.plan.jobs
+    annotations = run.annotations
     maybe_inject_fault(shard_id, attempt)
-    reader = TraceReader(path, strict=strict)
+    reader = TraceReader(path, strict=run.strict)
     try:
-        checker = _fresh_checker(spec)
+        checker = make_checker(run.plan.analysis)
         if annotations is not None and not annotations.trivial:
             # Group-aware key: the line's "sk" stamp (raw location) may
             # not match metadata_key, so decode every line and re-key.
@@ -303,21 +289,13 @@ def _check_shard_from_file(
             # stamp, so this worker only JSON-decodes its own 1/jobs slice.
             events = checker_events(reader, checker, shard_id, jobs)
 
-        recorder = _worker_recorder(collect)
-        if skip_locations:
+        recorder = _worker_recorder(run.collect)
+        if run.skip_locations:
             # Each worker drops its own shard's skipped events (the parent
             # never sees the stream), counting into its private snapshot.
-            events = filter_skipped(events, skip_locations, recorder)
+            events = filter_skipped(events, run.skip_locations, recorder)
         started = time.perf_counter()
-        report = replay_events(
-            events,
-            checker,
-            dpst=reader.dpst,
-            annotations=annotations,
-            lca_cache=lca_cache,
-            parallel_engine=parallel_engine,
-            recorder=recorder,
-        )
+        report = run.replay(events, checker, reader.dpst, recorder)
         # Every worker scans (and in lenient mode skips) the same
         # unstamped garbage lines; shard 0 alone reports the count so
         # jobs=1 and jobs=N totals agree.
@@ -352,22 +330,6 @@ def _mp_context(start_method: Optional[str] = None):
     return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
-def default_jobs() -> int:
-    """Default worker count: one per *usable* CPU.
-
-    ``os.sched_getaffinity`` reflects cgroup and affinity limits --
-    CI containers routinely expose 2 usable cores on a 64-core host,
-    where ``os.cpu_count()`` would oversubscribe 32x.  Platforms
-    without it (macOS) fall back to ``cpu_count``.
-    """
-    if hasattr(os, "sched_getaffinity"):
-        try:
-            return max(1, len(os.sched_getaffinity(0)))
-        except OSError:  # pragma: no cover - exotic platform behavior
-            pass
-    return os.cpu_count() or 1
-
-
 def check_sharded(
     source: TraceSource,
     checker: CheckerSpec = "optimized",
@@ -385,30 +347,26 @@ def check_sharded(
     resume: bool = False,
     strict: Optional[bool] = None,
     start_method: Optional[str] = None,
-    streaming: bool = False,
-    window: Optional[int] = None,
 ) -> ViolationReport:
     """Check *source* with ``jobs`` parallel per-location shards.
+
+    Builds a :class:`~repro.plan.CheckPlan` from the check options --
+    *checker*, *jobs* (``None``: one per usable CPU), *parallel_engine*,
+    the checkpoint and worker-supervision options; ``docs/api.md``
+    ("Check plans") describes them, and every refusal matches
+    :meth:`repro.session.CheckSession.check` -- and runs it through
+    :func:`run_plan`.  With ``jobs > 1`` the checker must be
+    ``location_sharded``.
 
     Parameters
     ----------
     source:
         A :class:`Trace`, a :class:`TraceReader`, or a trace file path
-        (either serialization format; the streaming JSONL format keeps
-        memory bounded).
-    checker:
-        Anything :func:`repro.checker.make_checker` accepts -- a name, a
-        checker class, or a pre-built instance.  With ``jobs > 1`` the
-        checker must be ``location_sharded``.
-    jobs:
-        Worker process count; ``None`` means one per usable CPU (cgroup
-        aware); ``1`` checks in-process with no multiprocessing at all.
-    annotations / lca_cache / parallel_engine:
-        Forwarded to replay; *parallel_engine* may be any name in
-        :func:`repro.dpst.engines.available_engines` (each worker builds
-        its own engine over its shard via the registry), and annotations
-        also steer the sharding key so multi-variable groups stay
-        together.
+        (any serialization format; file workers stream their own shard,
+        so the parent never materializes the events).
+    annotations / lca_cache:
+        Forwarded to replay; annotations also steer the sharding key so
+        multi-variable groups stay together.
     recorder:
         Optional :class:`repro.obs.Recorder`.  When enabled, each worker
         collects a private per-shard snapshot (counters, gauges, spans)
@@ -422,58 +380,58 @@ def check_sharded(
         silently).  Soundness is the caller's responsibility -- use
         :meth:`repro.session.CheckSession.check` with
         ``static_prefilter=...`` for the safety-gated path.
-    on_shard_failure / max_retries / retry_backoff / shard_timeout:
-        The fault-tolerance policy (see
-        :class:`~repro.checker.supervisor.WorkerPolicy`): a crashed,
-        erroring, or timed-out worker is retried with exponential
-        backoff (``"retry"``, the default), degraded to in-process
-        checking after the retries (``"inline"``), or aborts the run
-        immediately (``"raise"``).  ``shard_timeout`` bounds one
-        attempt's wall-clock seconds; ``None`` means no timeout.
-    checkpoint_dir / resume:
-        With *checkpoint_dir*, every completed shard's report (+ metrics
-        snapshot) is persisted as JSON under that directory; with
-        ``resume=True`` shards already checkpointed by a compatible
-        earlier run (same jobs count and checker) are merged from disk
-        instead of re-run, reproducing the fresh-run report exactly.
+    retry_backoff:
+        Base delay in seconds before a shard retry (see
+        :class:`~repro.checker.supervisor.WorkerPolicy`).
     strict:
         ``False`` turns on lenient trace ingestion for file sources
         (undecodable JSONL lines are counted as ``trace.lines_skipped``
         and skipped, never silently); ``None`` inherits the reader's
         own mode (``True`` for paths).
-    start_method:
-        Multiprocessing start method override (``"fork"``/``"spawn"``/
-        ``"forkserver"``); default prefers fork, and the
-        ``REPRO_START_METHOD`` environment variable overrides too.
-    streaming / window:
-        ``streaming=True`` wraps the checker in a
-        :class:`repro.checker.streaming.StreamingChecker` so every shard
-        checks its event stream incrementally with a compaction sweep
-        each *window* events (``None`` -> the default window, ``0`` ->
-        never sweep).  Each worker compacts its own shard, which carries
-        every task lifecycle event too; reports stay identical to the
-        offline run at every window.
 
     Returns the merged, deduplicated :class:`ViolationReport`.
     """
-    jobs = default_jobs() if jobs is None else jobs
-    if jobs < 1:
-        raise TraceError(f"jobs must be >= 1, got {jobs}")
-    if window is not None and not streaming:
-        raise CheckerError(
-            "window= only applies to streaming checks; pass "
-            "streaming=True (or drop window=)"
-        )
-    if streaming:
-        if not isinstance(checker, StreamingChecker):
-            checker = StreamingChecker(
-                window=(
-                    DEFAULT_WINDOW
-                    if window is None
-                    else (None if window == 0 else window)
-                ),
-                checker=checker,
-            )
+    plan = CheckPlan(
+        checker=checker,
+        jobs=jobs,
+        engine=parallel_engine,
+        checkpoint_dir=checkpoint_dir,
+        resume=resume,
+        on_shard_failure=on_shard_failure,
+        max_retries=max_retries,
+        shard_timeout=shard_timeout,
+        start_method=start_method,
+    )
+    return run_plan(
+        plan,
+        source,
+        annotations=annotations,
+        lca_cache=lca_cache,
+        recorder=recorder,
+        skip_locations=skip_locations,
+        strict=strict,
+        retry_backoff=retry_backoff,
+    )
+
+
+def run_plan(
+    plan: CheckPlan,
+    source: TraceSource,
+    annotations: Optional[AtomicAnnotations] = None,
+    lca_cache: bool = True,
+    recorder=None,
+    skip_locations: SkipLocations = None,
+    strict: Optional[bool] = None,
+    retry_backoff: float = 0.05,
+    digest: Optional[str] = None,
+) -> ViolationReport:
+    """Run a built *plan* over *source*: the one check driver.
+
+    The keywords mean what they mean for :func:`check_sharded`.
+    *digest* is the source's :func:`repro.cache.source_digest` when the
+    caller already has it; it is only needed (and otherwise computed)
+    when the plan checkpoints.
+    """
     if skip_locations is not None and not skip_locations:
         skip_locations = None
     collect = recorder is not None and recorder.enabled
@@ -486,15 +444,12 @@ def check_sharded(
             source, strict=True if strict is None else strict
         )
         owned_reader = reader
-        path: Optional[str] = reader.path
         trace: Optional[Trace] = None
     elif isinstance(source, TraceReader):
         reader = source
-        path = source.path
         trace = None
     elif isinstance(source, Trace):
         reader = None
-        path = None
         trace = source
     else:
         raise TraceError(
@@ -503,34 +458,29 @@ def check_sharded(
         )
     if strict is None:
         strict = reader.strict if reader is not None else True
-
-    store: Optional[CheckpointStore] = None
-    if checkpoint_dir is not None:
-        store = CheckpointStore(
-            checkpoint_dir,
-            jobs=jobs,
-            checker=checker_name_of(checker),
-            source=path,
-            resume=resume,
-        )
+    run = ShardReplay(
+        plan, annotations, lca_cache, skip_locations, strict, collect
+    )
 
     try:
-        if jobs == 1:
-            return _check_single(
-                trace, reader, checker, annotations, lca_cache,
-                parallel_engine, recorder, skip_locations, store, collect,
-            )
-        _require_shardable(checker)
-        policy = WorkerPolicy(
-            on_failure=on_shard_failure,
-            max_retries=max_retries,
-            retry_backoff=retry_backoff,
-            timeout_s=shard_timeout,
-        )
+        store: Optional[CheckpointStore] = None
+        if plan.checkpoint_dir is not None:
+            if digest is None:
+                from repro.cache import source_digest
+
+                digest = source_digest(trace if trace is not None else reader)
+            store = plan.checkpoint_store(digest)
+        if plan.jobs == 1:
+            source = trace if trace is not None else reader
+            return _check_single(run, source, reader, store, recorder)
         return _check_supervised(
-            trace, path, checker, jobs, annotations, lca_cache,
-            parallel_engine, recorder, skip_locations, strict,
-            policy, store, _mp_context(start_method), collect,
+            run,
+            trace,
+            None if reader is None else reader.path,
+            store,
+            recorder,
+            replace(plan.policy, retry_backoff=retry_backoff),
+            _mp_context(plan.start_method),
         )
     finally:
         # A worker raising must not leak the handles of a reader this
@@ -540,16 +490,11 @@ def check_sharded(
 
 
 def _check_single(
-    trace: Optional[Trace],
+    run: ShardReplay,
+    source: Union[Trace, TraceReader],
     reader: Optional[TraceReader],
-    checker: CheckerSpec,
-    annotations: Optional[AtomicAnnotations],
-    lca_cache: bool,
-    parallel_engine: str,
+    store: Optional[CheckpointStore],
     recorder,
-    skip_locations: SkipLocations,
-    store,
-    collect: bool,
 ) -> ViolationReport:
     """``jobs=1``: in-process replay, with optional checkpointing.
 
@@ -559,25 +504,16 @@ def _check_single(
     if store is not None:
         cached = store.load(0)
         if cached is not None:
-            if collect:
+            if run.collect:
                 recorder.count("sharded.resumed_shards")
             return cached[0]
-    analysis = make_checker(checker)
-    source = trace if trace is not None else reader
+    analysis = make_checker(run.plan.analysis)
     events = checker_events(source, analysis)
-    if skip_locations:
-        events = filter_skipped(events, skip_locations, recorder)
+    if run.skip_locations:
+        events = filter_skipped(events, run.skip_locations, recorder)
     skipped_before = reader.lines_skipped if reader is not None else 0
-    report = replay_events(
-        events,
-        analysis,
-        dpst=source.dpst,
-        annotations=annotations,
-        lca_cache=lca_cache,
-        parallel_engine=parallel_engine,
-        recorder=recorder,
-    )
-    if collect and reader is not None:
+    report = run.replay(events, analysis, source.dpst, recorder)
+    if run.collect and reader is not None:
         skipped = reader.lines_skipped - skipped_before
         if skipped:
             recorder.count("trace.lines_skipped", skipped)
@@ -587,27 +523,22 @@ def _check_single(
 
 
 def _check_supervised(
+    run: ShardReplay,
     trace: Optional[Trace],
     path: Optional[str],
-    checker: CheckerSpec,
-    jobs: int,
-    annotations: Optional[AtomicAnnotations],
-    lca_cache: bool,
-    parallel_engine: str,
+    store: Optional[CheckpointStore],
     recorder,
-    skip_locations: SkipLocations,
-    strict: bool,
     policy: WorkerPolicy,
-    store,
     context,
-    collect: bool,
 ) -> ViolationReport:
     """The ``jobs > 1`` path: supervised workers, checkpoints, metrics.
 
     One control flow for the observed and unobserved configurations --
-    spans and counters are per-phase, so gating them on *collect* keeps
-    the disabled path free of measurable overhead.
+    spans and counters are per-phase, so gating them on ``run.collect``
+    keeps the disabled path free of measurable overhead.
     """
+    collect = run.collect
+    jobs = run.plan.jobs
     if collect:
         from repro.obs import SPAN_MAP, SPAN_MERGE, SPAN_PARTITION, SPAN_SHARDED
 
@@ -622,23 +553,22 @@ def _check_supervised(
     with sharded_span:
         if trace is not None:
             with span(SPAN_PARTITION):
-                source_events = checker_events(trace, make_checker(checker))
-                if skip_locations:
+                source_events = checker_events(
+                    trace, make_checker(run.plan.analysis)
+                )
+                if run.skip_locations:
                     source_events = filter_skipped(
                         source_events,
-                        skip_locations,
+                        run.skip_locations,
                         recorder if collect else None,
                     )
-                shards = partition_events(source_events, jobs, annotations)
+                shards = partition_events(source_events, jobs, run.annotations)
                 dpst_dict = None if trace.dpst is None else dpst_to_dict(trace.dpst)
                 tasks = [
                     ShardTask(
                         shard_id=index,
                         fn=_check_shard_events,
-                        payload=(
-                            index, dpst_dict, shard, checker, annotations,
-                            lca_cache, parallel_engine, collect,
-                        ),
+                        payload=(index, run, dpst_dict, shard),
                     )
                     for index, shard in enumerate(shards)
                     if any(isinstance(event, MemoryEvent) for event in shard)
@@ -652,10 +582,7 @@ def _check_supervised(
                 ShardTask(
                     shard_id=shard,
                     fn=_check_shard_from_file,
-                    payload=(
-                        shard, path, jobs, checker, annotations, lca_cache,
-                        parallel_engine, collect, skip_locations, strict,
-                    ),
+                    payload=(shard, run, path),
                 )
                 for shard in range(jobs)
             ]

@@ -395,7 +395,7 @@ def run_supervised(
 # ---------------------------------------------------------------------------
 
 #: Version stamp of the per-shard checkpoint JSON layout.
-CHECKPOINT_SCHEMA = "repro-checkpoint/1"
+CHECKPOINT_SCHEMA = "repro-checkpoint/2"
 
 #: The run manifest file inside a checkpoint directory.
 MANIFEST_NAME = "run.json"
@@ -416,16 +416,18 @@ class CheckpointStore:
 
     Layout::
 
-        DIR/run.json          manifest: schema, jobs, checker, source hint
+        DIR/run.json          manifest: schema, jobs, checker, token, trace
         DIR/shard-00003.json  one completed shard: report + metrics snapshot
 
     A fresh run writes the manifest and clears stale shard files; a
     ``resume=True`` run validates the manifest against the current
-    configuration (jobs count and checker name must match -- the shard
-    partition depends on both) and then serves stored shard results via
-    :meth:`load`.  Unreadable or torn shard files are silently recomputed;
-    an *incompatible* manifest is a hard :class:`CheckerError` so results
-    from different configurations can never be mixed.
+    configuration -- every manifest field must match: the shard
+    partition depends on the jobs count, and the stored reports on the
+    checker (its name and content token) and on the trace digest -- and
+    then serves stored shard results via :meth:`load`.  Unreadable or
+    torn shard files are silently recomputed; an *incompatible* manifest
+    is a hard :class:`CheckerError` so results from different
+    configurations can never be mixed.
     """
 
     def __init__(
@@ -433,7 +435,8 @@ class CheckpointStore:
         directory: str,
         jobs: int,
         checker: str,
-        source: Optional[str] = None,
+        token: Optional[str] = None,
+        trace: Optional[str] = None,
         resume: bool = False,
     ) -> None:
         self.directory = os.fspath(directory)
@@ -442,18 +445,19 @@ class CheckpointStore:
             "schema": CHECKPOINT_SCHEMA,
             "jobs": int(jobs),
             "checker": checker,
-            "source": source,
+            "token": token,
+            "trace": trace,
         }
         os.makedirs(self.directory, exist_ok=True)
         manifest = os.path.join(self.directory, MANIFEST_NAME)
         stored = self._read_manifest(manifest)
         if self.resume and stored is not None:
-            for key in ("schema", "jobs", "checker"):
-                if stored.get(key) != self.meta[key]:
+            for key, value in self.meta.items():
+                if stored.get(key) != value:
                     raise CheckerError(
                         f"checkpoint directory {self.directory!r} belongs "
                         f"to an incompatible run ({key}={stored.get(key)!r}, "
-                        f"this run has {key}={self.meta[key]!r}); use a "
+                        f"this run has {key}={value!r}); use a "
                         "fresh directory or matching settings"
                     )
         else:
@@ -520,17 +524,6 @@ class CheckpointStore:
                 "metrics": snapshot,
             },
         )
-
-    def completed_shards(self) -> List[int]:
-        """Shard ids with a stored checkpoint file (sorted)."""
-        shards = []
-        for name in os.listdir(self.directory):
-            if name.startswith("shard-") and name.endswith(".json"):
-                try:
-                    shards.append(int(name[len("shard-"):-len(".json")]))
-                except ValueError:
-                    continue
-        return sorted(shards)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

@@ -415,20 +415,27 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return 1 if report else 0
 
 
+#: The ``check-trace`` flag spelling of each :class:`~repro.plan.CheckPlan`
+#: field a :class:`~repro.plan.UsageError` can name.
+_PLAN_FLAGS = {
+    "window": "--window",
+    "streaming": "--streaming",
+    "resume": "--resume",
+    "checkpoint_dir": "--checkpoint DIR",
+}
+
+
 def cmd_check_trace(args: argparse.Namespace) -> int:
+    from repro.plan import UsageError
     from repro.session import CheckSession
 
     jobs = None if args.jobs == 0 else args.jobs
     recorder = _metrics_recorder(args)
     prefilter: Any = False
-    if args.resume and not args.checkpoint:
-        raise SystemExit("--resume needs --checkpoint DIR")
     if args.static_prefilter:
         # Offline traces carry no program text, so the prefilter flag
         # names the program (MODULE:FUNC) the trace was recorded from.
         prefilter = _load_lint_target(args.static_prefilter)
-    if args.window is not None and not args.streaming:
-        raise SystemExit("--window needs --streaming")
     if recorder is None and (
         args.static_prefilter or args.lenient or args.streaming
     ):
@@ -441,18 +448,24 @@ def cmd_check_trace(args: argparse.Namespace) -> int:
         args.trace, checker=args.checker, jobs=jobs, engine=args.engine,
         recorder=recorder, strict=not args.lenient,
     )
-    report = session.check(
-        static_prefilter=prefilter,
-        checkpoint_dir=args.checkpoint,
-        resume=args.resume,
-        on_shard_failure=args.on_shard_failure,
-        max_retries=args.retries,
-        shard_timeout=args.shard_timeout,
-        start_method=args.start_method,
-        cache_dir=args.cache_dir,
-        streaming=args.streaming,
-        window=args.window,
-    )
+    try:
+        report = session.check(
+            static_prefilter=prefilter,
+            checkpoint_dir=args.checkpoint,
+            resume=args.resume,
+            on_shard_failure=args.on_shard_failure,
+            max_retries=args.retries,
+            shard_timeout=args.shard_timeout,
+            start_method=args.start_method,
+            cache_dir=args.cache_dir,
+            streaming=args.streaming,
+            window=args.window,
+        )
+    except UsageError as exc:
+        raise SystemExit(
+            f"{_PLAN_FLAGS[exc.option]} needs {_PLAN_FLAGS[exc.needs]}: "
+            f"{exc.reason}"
+        ) from exc
     print(report.describe())
     skipped = session.lines_skipped
     if not skipped and recorder is not None and recorder.enabled:
@@ -468,27 +481,21 @@ def cmd_check_trace(args: argparse.Namespace) -> int:
         )
     _print_prefilter(session, recorder)
     _print_cache(session)
-    _print_streaming(args, recorder)
+    _print_streaming(session.plan, recorder)
     _dump_metrics(recorder if getattr(args, "metrics", None) else None, args)
     return 1 if report else 0
 
 
-def _print_streaming(args: argparse.Namespace, recorder) -> None:
-    """Render a ``--streaming`` run's window/compaction summary.
+def _print_streaming(plan, recorder) -> None:
+    """Render a streaming plan's window/compaction summary.
 
     One line with the stable ``streaming:`` prefix (filter it, like the
     ``result cache:`` lines, when diffing reports across modes).
     """
-    if not getattr(args, "streaming", False):
+    if not plan.streaming:
         return
-    from repro.checker.streaming import DEFAULT_WINDOW
-
-    window = args.window
-    shown = (
-        "unbounded"
-        if window == 0
-        else str(window if window is not None else DEFAULT_WINDOW)
-    )
+    window = plan.sweep_window
+    shown = "unbounded" if window is None else str(window)
     if recorder is None or not recorder.enabled:
         print(f"streaming: window={shown}")
         return
@@ -898,8 +905,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check_trace.add_argument(
         "--resume", action="store_true",
-        help="reuse completed shards from --checkpoint DIR (same jobs "
-        "count and checker required); only the rest is re-checked",
+        help="reuse completed shards from --checkpoint DIR (same trace, "
+        "jobs count and checker required); only the rest is re-checked",
     )
     check_trace.add_argument(
         "--on-shard-failure", choices=("retry", "inline", "raise"),

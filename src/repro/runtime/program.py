@@ -12,7 +12,6 @@ collected trace, per-run statistics and each checker's violation report.
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Union
 
 from repro.checker.annotations import AtomicAnnotations
@@ -96,16 +95,6 @@ class RunResult:
     @property
     def engine(self) -> Any:
         """The run's parallelism engine (see :mod:`repro.dpst.engines`)."""
-        return self.context.engine
-
-    @property
-    def lca_engine(self) -> Any:
-        """Deprecated alias of :attr:`engine` (the pre-registry name)."""
-        warnings.warn(
-            "RunResult.lca_engine is deprecated; use RunResult.engine",
-            DeprecationWarning,
-            stacklevel=2,
-        )
         return self.context.engine
 
     @property
@@ -311,42 +300,3 @@ def run_program(
     value = None if root_task is None else root_task.result
     return RunResult(program, context, attached, stats, trace_recorder, value)
 
-
-def check_program(
-    program: Union[TaskProgram, TaskBody],
-    checker: Any = "optimized",
-    executor: Optional[Executor] = None,
-    dpst_layout: str = "array",
-    **checker_kwargs: Any,
-) -> ViolationReport:
-    """One-call convenience: run *program* under one checker.
-
-    .. deprecated::
-        :class:`repro.session.CheckSession` (or its
-        :func:`~repro.session.check_trace` shorthand) is the front door
-        now -- it covers live runs, recorded traces, trace files,
-        sharded checking and metrics collection under one API.  This
-        shim forwards to :func:`run_program` unchanged and will be
-        removed in a future release.
-
-    ``checker`` is any :func:`repro.checker.make_checker` spec -- a
-    registered name such as ``"optimized"``, a checker class, or a
-    pre-built instance.  Returns the checker's
-    :class:`~repro.report.ViolationReport`.
-    """
-    warnings.warn(
-        "check_program() is deprecated; use repro.session.CheckSession "
-        "(or check_trace) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.checker import make_checker
-
-    analysis = make_checker(checker, **checker_kwargs)
-    result = run_program(
-        program,
-        executor=executor,
-        observers=[analysis],
-        dpst_layout=dpst_layout,
-    )
-    return result.report()

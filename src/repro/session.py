@@ -26,19 +26,20 @@ location-sharded multiprocessing pipeline (``jobs>1``, see
     session.reports          # {"optimized": ..., "racedetector": ...}
     session.first_violation  # first finding across every check so far
 
-:func:`check_trace` is the one-call convenience wrapper, mirroring
-:func:`repro.runtime.program.check_program` for offline sources.
+:func:`check_trace` is the one-call convenience wrapper.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
-from repro.checker import checker_name_of, make_checker
+from repro.checker import checker_name_of
 from repro.checker.annotations import AtomicAnnotations
-from repro.checker.sharded import CheckerSpec, check_sharded
+from repro.checker.sharded import CheckerSpec, run_plan
 from repro.errors import TraceError
+from repro.plan import CheckPlan
 from repro.report import ViolationReport
 from repro.runtime.program import TaskProgram, run_program
 from repro.trace.serialize import TraceReader, open_trace
@@ -126,6 +127,8 @@ class CheckSession:
         #: ``{"requested", "applied", "hit", "key", "reason"}`` -- like
         #: :attr:`prefilter_info`, a bypassed cache is never silent.
         self.cache_info: Optional[Dict[str, Any]] = None
+        #: The :class:`~repro.plan.CheckPlan` of the last :meth:`check`.
+        self.plan: Optional[CheckPlan] = None
         self._lint_report = None
         self._source_digest_memo: Optional[str] = None
 
@@ -228,231 +231,114 @@ class CheckSession:
     ) -> ViolationReport:
         """Run one checker over the source; return (and remember) its report.
 
-        *checker* / *jobs* / *engine* default to the session's settings;
-        ``checker_kwargs`` are forwarded to checker construction (names
-        and classes only).  Repeated calls reuse the recorded trace, so a
-        program source executes exactly once per session.  The per-call
-        *engine* override lets one session compare any registered
-        parallelism engines over the same recorded trace (the
-        differential fuzzing oracle runs every
-        :func:`~repro.dpst.engines.available_engines` name this way);
-        it applies to offline replays -- a program source's recording
-        engine stays the session's.
+        The keywords build one :class:`~repro.plan.CheckPlan` (kept as
+        :attr:`plan`), which refuses incompatible combinations before
+        anything runs; ``docs/api.md`` ("Check plans") describes each
+        keyword.  *checker* / *jobs* / *engine* default to the session's
+        settings; ``checker_kwargs`` are forwarded to checker
+        construction (names and classes only).  Repeated calls reuse the
+        recorded trace, so a program source executes exactly once per
+        session.  The per-call *engine* applies to offline replays -- a
+        program source's recording engine stays the session's.
 
-        ``static_prefilter`` drops events on locations the static lint
-        pass proves schedule-serial before the dynamic check runs:
-        ``True`` lints the session's own program source, or pass a task
-        body / :class:`TaskProgram` / generator spec /
-        pre-built :class:`~repro.static.lint.LintReport` describing the
-        program that produced an offline trace.  Filtering is refused --
-        with the reason recorded in :attr:`prefilter_info`, never
-        silently -- unless the lint skeleton is fully exact and the
-        session's annotations are trivial.
-
-        ``checkpoint_dir`` / ``resume`` persist (and reuse) per-shard
-        results; ``on_shard_failure`` / ``max_retries`` /
-        ``shard_timeout`` / ``start_method`` configure the worker
-        supervision of the sharded pipeline -- all forwarded to
-        :func:`repro.checker.sharded.check_sharded` (a ``jobs=1``
-        check honors checkpoints too, treating the run as one shard).
-
-        ``cache_dir`` enables the content-addressed result cache
-        (:mod:`repro.cache`): the check becomes a hash lookup when the
-        same trace was already checked under the same checker/engine
-        configuration, and both hits and fresh results are served in
-        canonical (jobs-insensitive) violation order.  The cache is
-        bypassed -- with the reason recorded in :attr:`cache_info`,
-        never silently -- for class/instance checker specs, static
-        prefilter requests, and non-trivial annotations, since those
-        carry state the key cannot see.
-
-        ``streaming=True`` checks incrementally through
-        :class:`repro.checker.streaming.StreamingChecker`: events are
-        consumed one at a time (file sources are never materialized, and
-        the full event stream -- including task ends -- is replayed so
-        finished tasks free their metadata) with a compaction sweep every
-        *window* events.  ``window`` defaults to
-        :data:`repro.checker.streaming.DEFAULT_WINDOW`; ``0`` disables
-        periodic compaction (the ∞ window).  The report is byte-identical
-        to the offline check at every window; only peak memory differs.
-        Requires a compactable checker -- ``velodrome``, ``basic`` and
-        ``regiontrack`` are refused with a
-        :class:`~repro.errors.CheckerError`.
+        ``static_prefilter`` and ``cache_dir`` are never silent: a refused
+        filter or a bypassed cache leaves its reason in
+        :attr:`prefilter_info` / :attr:`cache_info`.
         """
-        spec = self.checker if checker is None else checker
-        jobs = self.jobs if jobs is None else jobs
-        engine = self.engine if engine is None else engine
-        if window is not None and not streaming:
-            from repro.errors import CheckerError
-
-            raise CheckerError(
-                "window= only applies to streaming checks; pass "
-                "streaming=True (or drop window=)"
-            )
-        cache_state = self._resolve_cache(
-            cache_dir, spec, checker_kwargs, engine, static_prefilter, streaming
-        )
-        if streaming:
-            from repro.checker.streaming import DEFAULT_WINDOW, StreamingChecker
-
-            spec = StreamingChecker(
-                window=(
-                    DEFAULT_WINDOW
-                    if window is None
-                    else (None if window == 0 else window)
-                ),
-                checker=spec,
-                **checker_kwargs,
-            )
-        elif checker_kwargs:
-            spec = make_checker(spec, **checker_kwargs)
-        if cache_state is not None:
-            entry = cache_state["cache"].load(cache_state["key"])
-            if entry is not None:
-                cache_state["info"]["hit"] = True
-                if self.recorder.enabled:
-                    self.recorder.count("cache.hit")
-                    self.recorder.count("cache.bytes", entry.nbytes)
-                self.reports[checker_name_of(spec)] = entry.report
-                return entry.report
-        skip = self._resolve_prefilter(static_prefilter)
-        fault_options = dict(
+        plan = CheckPlan(
+            checker=self.checker if checker is None else checker,
+            checker_kwargs=checker_kwargs,
+            jobs=self.jobs if jobs is None else jobs,
+            engine=self.engine if engine is None else engine,
+            static_prefilter=static_prefilter,
             checkpoint_dir=checkpoint_dir,
             resume=resume,
             on_shard_failure=on_shard_failure,
             max_retries=max_retries,
             shard_timeout=shard_timeout,
             start_method=start_method,
+            cache_dir=cache_dir,
+            streaming=streaming,
+            window=window,
         )
-
+        self.plan = plan
+        cache_state = self._resolve_cache(plan)
+        if cache_state is not None:
+            cache, key, meta = cache_state
+            entry = cache.load(key)
+            if entry is not None:
+                self.cache_info["hit"] = True
+                if self.recorder.enabled:
+                    self.recorder.count("cache.hit")
+                    self.recorder.count("cache.bytes", entry.nbytes)
+                self.reports[plan.checker_name] = entry.report
+                return entry.report
+        skip = self._resolve_prefilter(static_prefilter)
+        span = contextlib.nullcontext()
         if self.recorder.enabled:
             from repro.obs import SPAN_CHECK
 
             self._span_dpst_build()
-            with self.recorder.span(SPAN_CHECK):
-                report = self._dispatch(spec, jobs, engine, skip, fault_options)
-        else:
-            report = self._dispatch(spec, jobs, engine, skip, fault_options)
+            span = self.recorder.span(SPAN_CHECK)
+        with span:
+            report = run_plan(
+                plan,
+                self._sharded_source(),
+                annotations=self.annotations,
+                lca_cache=self.lca_cache,
+                recorder=self.recorder,
+                skip_locations=skip,
+                digest=self._source_digest_memo,
+            )
         if cache_state is not None:
             from repro.cache import normalized_report_copy
 
             report = normalized_report_copy(report)
-            nbytes = cache_state["cache"].store(
-                cache_state["key"], report, meta=cache_state["meta"]
-            )
+            nbytes = cache.store(key, report, meta=meta)
             if self.recorder.enabled:
                 self.recorder.count("cache.miss")
                 self.recorder.count("cache.bytes", nbytes)
-        self.reports[checker_name_of(spec)] = report
+        self.reports[plan.checker_name] = report
         return report
 
     def _source_digest(self) -> str:
         """Content digest of the source, memoized for the session."""
-        from repro.cache import file_digest, trace_digest
-
         if self._source_digest_memo is None:
-            if self._reader is not None and self._trace is None:
-                self._source_digest_memo = "file:" + file_digest(
-                    self._reader.path
-                )
-            else:
-                self._source_digest_memo = "trace:" + trace_digest(self.trace)
+            from repro.cache import source_digest
+
+            self._source_digest_memo = source_digest(self._sharded_source())
         return self._source_digest_memo
 
     def _resolve_cache(
-        self,
-        cache_dir: Optional[str],
-        spec: CheckerSpec,
-        checker_kwargs: Dict[str, Any],
-        engine: str,
-        static_prefilter: Any,
-        streaming: bool = False,
-    ) -> Optional[Dict[str, Any]]:
-        """Turn a ``cache_dir=`` request into a ready cache lookup.
+        self, plan: CheckPlan
+    ) -> Optional[Tuple[Any, str, Dict[str, Any]]]:
+        """Turn the plan's ``cache_dir`` into a ready cache lookup:
+        ``(cache, key, meta)``, or ``None`` when there is none.
 
         Mirrors :meth:`_resolve_prefilter`: the decision (and any reason
         for bypassing) lands in :attr:`cache_info`, never silently.
         """
-        if cache_dir is None:
+        if plan.cache_dir is None:
             return None
-        from repro.cache import (
-            ResultCache,
-            checker_cache_token,
-            result_cache_key,
-        )
+        from repro.cache import ResultCache
 
         info: Dict[str, Any] = {
             "requested": True,
             "applied": False,
             "hit": False,
             "key": None,
-            "reason": "",
+            "reason": plan.cache_bypass(self.annotations),
         }
         self.cache_info = info
-        token = checker_cache_token(spec, checker_kwargs)
-        if streaming:
-            info["reason"] = (
-                "streaming checks consume the trace incrementally; "
-                "serving (or storing) a cached offline result would "
-                "defeat the bounded-memory contract"
-            )
-        elif token is None:
-            info["reason"] = (
-                "checker spec is not content-addressable (pass a "
-                "registered name, not a class or instance, with "
-                "JSON-safe kwargs)"
-            )
-        elif static_prefilter not in (False, None):
-            info["reason"] = (
-                "static prefilter requests carry program text the "
-                "cache key cannot see"
-            )
-        elif self.annotations is not None and not self.annotations.trivial:
-            info["reason"] = (
-                "non-trivial atomicity annotations are not part of "
-                "the cache key"
-            )
         if info["reason"]:
             if self.recorder.enabled:
                 self.recorder.count("cache.bypass")
             return None
-        digest = self._source_digest()
-        key = result_cache_key(digest, token, engine, False, self.strict)
+        key, meta = plan.cache_entry(self._source_digest(), self.strict)
         info["applied"] = True
         info["key"] = key
         info["reason"] = "content-addressed lookup enabled"
-        return {
-            "cache": ResultCache(cache_dir),
-            "key": key,
-            "info": info,
-            "meta": {
-                "trace": digest,
-                "checker": token,
-                "engine": engine,
-                "strict": bool(self.strict),
-            },
-        }
-
-    def _dispatch(
-        self,
-        spec: CheckerSpec,
-        jobs: Optional[int],
-        engine: str,
-        skip_locations: Optional[frozenset] = None,
-        fault_options: Optional[Dict[str, Any]] = None,
-    ) -> ViolationReport:
-        fault_options = fault_options or {}
-        return check_sharded(
-            self._sharded_source(),
-            checker=spec,
-            jobs=jobs,
-            annotations=self.annotations,
-            lca_cache=self.lca_cache,
-            parallel_engine=engine,
-            recorder=self.recorder,
-            skip_locations=skip_locations,
-            **fault_options,
-        )
+        return ResultCache(plan.cache_dir), key, meta
 
     def _span_dpst_build(self) -> None:
         """Time the one-off DPST materialization under ``dpst.build``.

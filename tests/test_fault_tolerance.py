@@ -29,7 +29,8 @@ from repro.errors import CheckerError
 from repro.obs import MetricsRecorder, comparable_counters
 from repro.report import ViolationReport
 from repro.runtime import TaskProgram, run_program
-from repro.suite import all_cases
+from repro.session import CheckSession
+from repro.suite import all_cases, get
 from repro.trace.serialize import dump_trace_jsonl
 
 
@@ -321,6 +322,56 @@ class TestCheckpointResume:
             json.dump(data, handle)
         with pytest.raises(CheckerError, match="incompatible"):
             CheckpointStore(ck, jobs=2, checker="optimized", resume=True)
+
+
+class TestResumeCompatibility:
+    """A checkpoint only resumes the run that wrote it: the manifest
+    records the trace digest and checker token the result cache keys on."""
+
+    @staticmethod
+    def record(name, tmp_path):
+        path = str(tmp_path / f"{name}.jsonl")
+        trace = run_program(get(name).build(), record_trace=True).trace
+        dump_trace_jsonl(trace, path)
+        return path
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_resume_on_another_trace_is_refused(self, tmp_path, jobs):
+        violating = self.record("pattern_rwr", tmp_path)
+        safe = self.record("pattern_rrr", tmp_path)
+        ck = str(tmp_path / "ck")
+        assert check_sharded(violating, jobs=jobs, checkpoint_dir=ck)
+        assert not check_sharded(safe, jobs=jobs)
+        # Resuming would otherwise serve pattern_rwr's 'X' violation as
+        # the verdict on the safe pattern_rrr trace.
+        with pytest.raises(CheckerError, match="incompatible run"):
+            check_sharded(safe, jobs=jobs, checkpoint_dir=ck, resume=True)
+
+    def test_resume_with_other_checker_kwargs_is_refused(
+        self, trace_file, tmp_path
+    ):
+        ck = str(tmp_path / "ck")
+        CheckSession(trace_file).check(checkpoint_dir=ck, mode="paper")
+        with pytest.raises(CheckerError, match="incompatible run"):
+            CheckSession(trace_file).check(
+                checkpoint_dir=ck, resume=True, mode="thorough"
+            )
+
+    def test_resume_same_trace_through_session_and_driver(
+        self, trace_file, baseline, tmp_path
+    ):
+        ck = str(tmp_path / "ck")
+        CheckSession(trace_file, jobs=2).check(checkpoint_dir=ck)
+        resumed = check_sharded(
+            trace_file, jobs=2, checkpoint_dir=ck, resume=True
+        )
+        assert keys(resumed) == keys(baseline)
+
+    def test_resume_without_checkpoint_is_refused(self, trace_file):
+        with pytest.raises(CheckerError, match="checkpoint_dir=DIR"):
+            check_sharded(trace_file, jobs=2, resume=True)
+        with pytest.raises(CheckerError, match="checkpoint_dir=DIR"):
+            CheckSession(trace_file).check(resume=True)
 
 
 class TestSuiteEquivalence:
