@@ -1,9 +1,9 @@
 """BENCH-ENGINES -- per-query cost of every registered parallelism engine.
 
 The engine registry (:mod:`repro.dpst.engines`) makes the paper's LCA
-walks one option among several: offset-span-style labels, incremental
-vector clocks (arXiv:2001.04961) and DePa graded dag-path labels
-(arXiv:2204.14168) all answer the same ``parallel(a, b)`` question.
+walks one option among several: incremental vector clocks
+(arXiv:2001.04961) and DePa graded dag-path labels (arXiv:2204.14168)
+answer the same ``parallel(a, b)`` question.
 This harness measures what each answer *costs*, per query, on workloads
 chosen to separate the asymptotics:
 

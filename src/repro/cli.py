@@ -13,7 +13,7 @@ Commands
 ``dpst MODULE:FUNC``
     Execute a program and print its dynamic program structure tree.
 ``record MODULE:FUNC -o FILE`` / ``replay FILE``
-    Serialize an execution trace (monolithic JSON or streaming JSONL,
+    Serialize an execution trace (streaming JSONL or binary columnar,
     picked by extension or ``--format``) / replay a saved trace through a
     checker.
 ``check-trace FILE --jobs N``
@@ -47,7 +47,7 @@ import importlib
 import sys
 from typing import Any, Callable, List, Optional, Sequence
 
-from repro.checker import make_checker
+from repro.checker import CHECKER_FACTORIES, make_checker
 from repro.runtime import (
     RandomOrderExecutor,
     SerialExecutor,
@@ -56,14 +56,9 @@ from repro.runtime import (
     run_program,
 )
 
-CHECKER_NAMES = (
-    "optimized",
-    "basic",
-    "velodrome",
-    "racedetector",
-    "velodrome+explorer",
-    "regiontrack",
-)
+#: ``--checker`` choices: the checker registry minus ``streaming``, which
+#: the ``--streaming`` flag selects.
+CHECKER_NAMES = tuple(name for name in CHECKER_FACTORIES if name != "streaming")
 
 
 def _load_callable(spec: str) -> Callable[..., Any]:
@@ -859,10 +854,10 @@ def build_parser() -> argparse.ArgumentParser:
     record.add_argument("program")
     record.add_argument("-o", "--output", required=True)
     record.add_argument(
-        "--format", choices=("auto", "json", "jsonl", "columnar"),
+        "--format", choices=("auto", "jsonl", "columnar"),
         default="auto",
-        help="serialization format; auto picks JSONL for .jsonl/.ndjson "
-        "paths and binary columnar (v3) for .trc/.v3 paths",
+        help="serialization format; auto picks binary columnar (v3) for "
+        ".trc/.v3 paths and JSONL (v2) for any other path",
     )
     _add_run_options(record)
     record.set_defaults(handler=cmd_record)

@@ -21,7 +21,7 @@ Figure 14 ablation:
 * :class:`~repro.dpst.array.ArrayDPST`   -- the paper's optimized layout, a
   linear array of nodes with parent *indices* instead of pointers.
 
-Both satisfy the :class:`~repro.dpst.base.DPSTBase` interface, and four
+Both satisfy the :class:`~repro.dpst.base.DPSTBase` interface, and three
 registered parallelism engines answer (optionally cached) series-parallel
 queries over either -- see :mod:`repro.dpst.engines` for the
 :class:`~repro.dpst.engines.ParallelismEngine` protocol and the
@@ -42,14 +42,12 @@ from repro.dpst.engines import (
     register_engine,
 )
 from repro.dpst.lca import LCAEngine
-from repro.dpst.labels import LabelEngine
 from repro.dpst.vclock import VectorClockEngine
 from repro.dpst.depa import DePaEngine
 from repro.dpst.relation import lca, parallel, precedes, left_of
 
 __all__ = [
     "EngineStats",
-    "LabelEngine",
     "NodeKind",
     "ROOT_ID",
     "NULL_ID",

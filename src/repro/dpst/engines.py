@@ -3,9 +3,9 @@
 Every atomicity checker in this reproduction spends its hot path asking
 one question -- *may these two steps logically execute in parallel?* --
 and the paper answers it with memoized DPST LCA walks.  The related work
-answers the same question very differently (offset-span labels, DePa's
-graded dag-path labels, vector clocks), so the question itself is worth
-a formal surface:
+answers the same question very differently (DePa's graded dag-path
+labels, vector clocks), so the question itself is worth a formal
+surface:
 
 * :class:`ParallelismEngine` is the protocol every engine implements:
   ``parallel(a, b)`` / ``series(a, b)`` / ``precedes(a, b)`` queries over
@@ -25,9 +25,6 @@ Built-in engines
 ``lca``
     :class:`~repro.dpst.lca.LCAEngine` -- memoized tree walks (the
     paper's approach; the default everywhere).
-``labels``
-    :class:`~repro.dpst.labels.LabelEngine` -- offset-span-style path
-    label comparison (Mellor-Crummey lineage).
 ``vc``
     :class:`~repro.dpst.vclock.VectorClockEngine` -- per-task vector
     clocks maintained incrementally over spawn/finish, a linear total
@@ -112,7 +109,7 @@ class UnknownEngineError(CheckerError, TraceError, ValueError):
     """An engine name that is not in the registry.
 
     Subclasses :class:`ValueError` (what the pre-registry runtime raised
-    for the hardcoded ``{lca, labels}`` pair) and
+    for a name it did not know) and
     :class:`~repro.errors.TraceError` (what the replay path raised), so
     every historical ``except`` clause keeps working while new code can
     catch the one precise type.
@@ -182,12 +179,6 @@ def _make_lca(tree: DPSTBase, cache: bool = True):
     return LCAEngine(tree, cache=cache)
 
 
-def _make_labels(tree: DPSTBase, cache: bool = True):
-    from repro.dpst.labels import LabelEngine
-
-    return LabelEngine(tree, cache=cache)
-
-
 def _make_vc(tree: DPSTBase, cache: bool = True):
     from repro.dpst.vclock import VectorClockEngine
 
@@ -201,6 +192,5 @@ def _make_depa(tree: DPSTBase, cache: bool = True):
 
 
 register_engine("lca", _make_lca)
-register_engine("labels", _make_labels)
 register_engine("vc", _make_vc)
 register_engine("depa", _make_depa)

@@ -9,8 +9,8 @@ leg                  configuration
 ``reference``        optimized checker (thorough), reference engine
                      (default LCA), ``jobs=1``
 ``<engine>-engine``  same checker under every *other* registered
-                     parallelism engine (``labels-engine``,
-                     ``vc-engine``, ``depa-engine``, ... -- derived from
+                     parallelism engine (``vc-engine``,
+                     ``depa-engine``, ... -- derived from
                      :func:`repro.dpst.engines.available_engines`, so
                      registering an engine automatically extends the
                      matrix)
@@ -265,7 +265,7 @@ def check_spec(
 
     # -- same-trace legs: must match triple-for-triple -------------------
     # One leg per registered engine other than the reference: the machine
-    # check that LCA = labels = vc = depa (and any third-party engine).
+    # check that LCA = vc = depa (and any third-party engine).
     for other in available_engines():
         if other == engine:
             continue

@@ -233,8 +233,8 @@ def run_program(
         Registry name of the parallelism engine answering series-parallel
         queries -- any name in
         :func:`repro.dpst.engines.available_engines` (built-ins:
-        ``"lca"``, ``"labels"``, ``"vc"``, ``"depa"``; default the
-        paper's tree-walk ``"lca"``).  Unknown names raise
+        ``"lca"``, ``"vc"``, ``"depa"``; default the paper's tree-walk
+        ``"lca"``).  Unknown names raise
         :class:`repro.dpst.engines.UnknownEngineError`.
     record_trace / collect_stats:
         Attach a :class:`TraceRecorder` / :class:`StatsObserver`

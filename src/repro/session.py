@@ -68,7 +68,7 @@ class CheckSession:
     engine:
         Parallelism-query engine: any registered name in
         :func:`repro.dpst.engines.available_engines` (built-ins:
-        ``"lca"``, ``"labels"``, ``"vc"``, ``"depa"``).  Unknown names
+        ``"lca"``, ``"vc"``, ``"depa"``).  Unknown names
         raise :class:`repro.dpst.engines.UnknownEngineError` at check
         time, naming the valid engines.
     executor:

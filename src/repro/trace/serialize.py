@@ -6,11 +6,12 @@ archive as regression goldens.  This module round-trips a
 :class:`~repro.trace.trace.Trace` *including its DPST* through plain
 JSON-compatible dictionaries.
 
-Three on-disk formats are supported:
+Three on-disk formats are read; the last two are written:
 
-* **v1 (monolithic JSON)** -- one JSON object holding every event, written
-  by :func:`dump_trace` with ``format="json"``.  Simple, but the whole
-  trace must fit in memory to read or write it.
+* **v1 (monolithic JSON)** -- one JSON object holding every event.  Read
+  only: files written by earlier releases still load and check, but the
+  whole trace must fit in memory to read one, so :func:`dump_trace`
+  writes v2 or v3 instead.
 * **v2 (streaming JSONL)** -- a one-line header
   ``{"format": "repro-trace", "version": 2, "dpst": ...}`` followed
   by one event per line.  :class:`TraceWriter` appends events with bounded
@@ -155,17 +156,10 @@ def event_from_dict(row: Dict[str, Any]) -> object:
     return cls(**kwargs)
 
 
-def trace_to_dict(trace: Trace) -> Dict[str, Any]:
-    """Encode a whole trace (events + DPST) as one JSON-safe dict."""
-    return {
-        "version": 1,
-        "events": [event_to_dict(event) for event in trace.events],
-        "dpst": None if trace.dpst is None else dpst_to_dict(trace.dpst),
-    }
-
-
 def trace_from_dict(data: Dict[str, Any]) -> Trace:
-    """Inverse of :func:`trace_to_dict`."""
+    """Decode a v1 trace: ``{"version": 1, "events": [...], "dpst": ...}``
+    with rows from :func:`event_to_dict` and a tree from
+    :func:`dpst_to_dict`."""
     if data.get("version") != 1:
         raise TraceError(f"unsupported trace version {data.get('version')!r}")
     events = [event_from_dict(row) for row in data["events"]]
@@ -639,35 +633,27 @@ def dump_trace_jsonl(
 def dump_trace(trace: Trace, path: str, format: str = "auto") -> None:
     """Write a trace to *path*.
 
-    ``format="auto"`` (default) picks v2 JSONL for ``.jsonl`` / ``.ndjson``
-    paths, binary columnar v3 for ``.trc`` / ``.v3`` paths, and the legacy
-    v1 monolithic JSON otherwise; ``"jsonl"``, ``"columnar"``, and
-    ``"json"`` force a variant.
+    ``format="auto"`` (default) picks binary columnar v3 for ``.trc`` /
+    ``.v3`` paths and v2 JSONL for every other path; ``"jsonl"`` and
+    ``"columnar"`` force a variant.  Readers sniff the content, so the
+    suffix only matters here.  v1 is read-only: ``"json"`` is refused.
     """
     if format == "auto":
         suffix = os.path.splitext(os.fspath(path))[1].lower()
-        if suffix in (".jsonl", ".ndjson"):
-            format = "jsonl"
-        elif suffix in (".trc", ".v3"):
-            format = "columnar"
-        else:
-            format = "json"
+        format = "columnar" if suffix in (".trc", ".v3") else "jsonl"
     if format == "jsonl":
         dump_trace_jsonl(trace, path)
     elif format == "columnar":
         from repro.trace.columnar import dump_trace_columnar
 
         dump_trace_columnar(trace, path)
-    elif format == "json":
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(trace_to_dict(trace), handle)
     else:
         raise TraceError(
-            f"unknown trace format {format!r} "
-            "(expected 'auto', 'json', 'jsonl' or 'columnar')"
+            f"cannot write trace format {format!r} (writable formats: "
+            "'auto', 'jsonl' or 'columnar'; v1 JSON is read-only)"
         )
 
 
 def load_trace(path: str) -> Trace:
-    """Read a trace previously written by :func:`dump_trace` (either format)."""
+    """Read a v1, v2 or v3 trace file into memory (the format is sniffed)."""
     return TraceReader(path).read()

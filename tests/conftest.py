@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.dpst import ArrayDPST, LinkedDPST, NodeKind
+from repro.trace.serialize import dpst_to_dict, event_to_dict
 
 
 @pytest.fixture(params=["array", "linked"])
@@ -39,3 +42,19 @@ def build_figure2(tree):
     a3 = tree.add_node(f12, NodeKind.ASYNC)
     s3 = tree.add_node(a3, NodeKind.STEP)
     return s11, f12, a2, s2, s12, a3, s3
+
+
+def write_v1_trace(trace, path):
+    """Write *trace* as a v1 monolithic JSON file.
+
+    The library only reads v1 (it writes v2 and v3); this writer keeps the
+    v1 read, sniffing, sharding and lenient paths under test.
+    """
+    data = {
+        "version": 1,
+        "events": [event_to_dict(event) for event in trace.events],
+        "dpst": None if trace.dpst is None else dpst_to_dict(trace.dpst),
+    }
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(data, handle)
+    return str(path)

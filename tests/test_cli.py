@@ -10,6 +10,8 @@ import pytest
 
 from repro.cli import main
 
+from tests.conftest import write_v1_trace
+
 PROGRAMS_SOURCE = '''
 """CLI test target programs."""
 
@@ -154,6 +156,27 @@ class TestRecordReplay:
         assert code == 0
         assert is_jsonl_trace(trace_file)
 
+    def test_record_json_path_writes_v2(self, target_module, tmp_path, capsys):
+        from repro.trace.serialize import TraceReader, load_trace
+
+        v2 = str(tmp_path / "t.json")
+        assert main(["record", f"{target_module}:buggy", "-o", v2]) == 0
+        assert TraceReader(v2).version == 2
+        v1 = write_v1_trace(load_trace(v2), tmp_path / "v1.json")
+        capsys.readouterr()
+        reports = []
+        for path in (v1, v2):
+            assert main(["check-trace", path]) == 1
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
+    def test_record_format_json_refused(self, target_module, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["record", f"{target_module}:buggy", "-o",
+                  str(tmp_path / "t.json"), "--format", "json"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'json'" in capsys.readouterr().err
+
 
 class TestCheckTrace:
     @pytest.fixture
@@ -179,7 +202,15 @@ class TestCheckTrace:
         assert main(["check-trace", trace_file, "--jobs", "0"]) == 1
 
     def test_engine_option(self, trace_file, capsys):
-        assert main(["check-trace", trace_file, "--engine", "labels"]) == 1
+        assert main(["check-trace", trace_file, "--engine", "vc"]) == 1
+
+    def test_unknown_engine_is_a_usage_error(self, trace_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check-trace", trace_file, "--engine", "labels"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'labels'" in err
+        assert "'depa', 'lca', 'vc'" in err
 
     def test_clean_trace_exit_0(self, target_module, tmp_path, capsys):
         path = str(tmp_path / "clean.jsonl")
@@ -190,10 +221,10 @@ class TestCheckTrace:
         assert code == 0
         assert "no violations" in out
 
-    def test_v1_json_trace_accepted(self, target_module, tmp_path, capsys):
-        path = str(tmp_path / "t.json")
-        main(["record", f"{target_module}:buggy", "-o", path])
-        capsys.readouterr()
+    def test_v1_json_trace_accepted(self, trace_file, tmp_path, capsys):
+        from repro.trace.serialize import load_trace
+
+        path = write_v1_trace(load_trace(trace_file), tmp_path / "t.json")
         assert main(["check-trace", path, "--jobs", "2"]) == 1
 
     def test_regiontrack_checker(self, trace_file, capsys):
@@ -367,6 +398,26 @@ class TestParser:
         out = capsys.readouterr().out
         for command in ("check", "suite", "workload", "table1", "fig13"):
             assert command in out
+
+    def test_checker_choices_track_registry(self):
+        import argparse
+
+        from repro.checker import CHECKER_FACTORIES
+        from repro.cli import build_parser
+
+        expected = set(CHECKER_FACTORIES) - {"streaming"}
+        subparsers = next(
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        seen = set()
+        for command, sub in subparsers.choices.items():
+            for action in sub._actions:
+                if "--checker" in action.option_strings:
+                    assert set(action.choices) == expected, command
+                    seen.add(command)
+        assert {"check", "check-trace", "suite", "replay"} <= seen
 
 
 class TestCompare:

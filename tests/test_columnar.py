@@ -34,6 +34,8 @@ from repro.trace.serialize import (
 )
 from repro.trace.trace import Trace
 
+from tests.conftest import write_v1_trace
+
 
 def recorded_run():
     def child(ctx, i):
@@ -235,10 +237,9 @@ class TestSharding:
 
 class TestSniffing:
     def test_magic_prefix(self, trace, tmp_path):
-        v1 = str(tmp_path / "t.json")
+        v1 = write_v1_trace(trace, tmp_path / "t.json")
         v2 = str(tmp_path / "t.jsonl")
         v3 = str(tmp_path / "t.trc")
-        dump_trace(trace, v1, format="json")
         dump_trace(trace, v2, format="jsonl")
         dump_trace(trace, v3, format="columnar")
         assert is_columnar_trace(v3)

@@ -8,6 +8,8 @@ choice, kind) decisions replayed against both layouts.  Invariants:
 * the LCA walk agrees with a naive path-intersection implementation;
 * ``parallel`` is symmetric and irreflexive; ``precedes`` is a strict
   partial order; distinct steps are exactly one of {parallel, <, >};
+* every registered engine agrees with the relation, cached or not and
+  in any query order;
 * the engine's cached verdicts equal the uncached ones.
 """
 
@@ -146,6 +148,46 @@ def test_all_registered_engines_match_relation(script):
 
 @given(insertion_scripts())
 @settings(max_examples=40, deadline=None)
+def test_all_registered_engines_uncached_match_relation(script):
+    """The same equivalence with every engine's cache off, so each
+    verdict is computed afresh rather than read back from a memo."""
+    from repro.dpst.engines import available_engines, make_engine
+
+    tree = replay(script, ArrayDPST())
+    engines = {
+        name: make_engine(name, tree, cache=False) for name in available_engines()
+    }
+    nodes = list(tree.nodes())
+    for a in nodes:
+        for b in nodes:
+            want_parallel = relation.parallel(tree, a, b)
+            want_precedes = relation.precedes(tree, a, b)
+            for name, engine in engines.items():
+                assert engine.parallel(a, b) == want_parallel, (name, a, b)
+                assert engine.precedes(a, b) == want_precedes, (name, a, b)
+
+
+@given(insertion_scripts(), st.randoms(use_true_random=False))
+@settings(max_examples=30, deadline=None)
+def test_all_registered_engines_precedes_any_query_order(script, rng):
+    """Engines that build labels or clocks lazily must not depend on
+    which step pair is asked first: shuffled queries on fresh engines
+    still give the relation's ``precedes``."""
+    from repro.dpst.engines import available_engines, make_engine
+
+    tree = replay(script, ArrayDPST())
+    engines = {name: make_engine(name, tree) for name in available_engines()}
+    steps = tree.step_nodes()
+    pairs = [(a, b) for a in steps for b in steps]
+    rng.shuffle(pairs)
+    for a, b in pairs:
+        want = relation.precedes(tree, a, b)
+        for name, engine in engines.items():
+            assert engine.precedes(a, b) == want, (name, a, b)
+
+
+@given(insertion_scripts())
+@settings(max_examples=40, deadline=None)
 def test_engine_cache_transparent(script):
     tree = replay(script, ArrayDPST())
     cached = LCAEngine(tree, cache=True)
@@ -168,7 +210,6 @@ def test_engine_cache_transparent(script):
 
 import pytest
 
-from repro.dpst import LabelEngine
 from repro.fuzz import FuzzConfig, ProgramGenerator, program_from_spec
 from repro.runtime.executor import SerialExecutor
 from repro.runtime.program import run_program
@@ -213,15 +254,22 @@ def test_fuzzed_steps_trichotomy(seed):
 
 
 @pytest.mark.parametrize("seed", PINNED_SEEDS)
-def test_fuzzed_lca_and_label_engines_agree(seed):
+def test_fuzzed_registered_engines_match_relation(seed):
+    """Every registered engine gives the relation's verdicts on
+    runtime-built trees (pairwise agreement alone would miss a fault
+    that all engines share)."""
+    from repro.dpst.engines import available_engines, make_engine
+
     tree = _fuzzed_dpst(seed)
-    lca = LCAEngine(tree)
-    labels = LabelEngine(tree)
+    engines = {name: make_engine(name, tree) for name in available_engines()}
     steps = tree.step_nodes()
     for a in steps:
         for b in steps:
-            assert lca.parallel(a, b) == labels.parallel(a, b), (seed, a, b)
-            assert lca.precedes(a, b) == labels.precedes(a, b), (seed, a, b)
+            want_parallel = relation.parallel(tree, a, b)
+            want_precedes = relation.precedes(tree, a, b)
+            for name, engine in engines.items():
+                assert engine.parallel(a, b) == want_parallel, (seed, name, a, b)
+                assert engine.precedes(a, b) == want_precedes, (seed, name, a, b)
 
 
 @pytest.mark.parametrize("seed", PINNED_SEEDS)

@@ -2,7 +2,9 @@
 
 Covers the registry surface (register/available/make, unknown-name
 errors), the vector-clock and DePa engines against the reference
-relation semantics, duck-typed
+relation semantics, checks that every registered engine must pass
+(Figure 2 verdicts, stats, checker verdicts, the 36-program suite),
+duck-typed
 third-party engines flowing through the runtime and checkers, and the
 derived surfaces (CLI choices, fuzz-oracle legs, per-engine metrics)
 that must track the registry automatically.
@@ -11,6 +13,7 @@ that must track the registry automatically.
 import argparse
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.checker import OptAtomicityChecker
 from repro.dpst import ArrayDPST, NodeKind, ROOT_ID, relation
@@ -27,8 +30,12 @@ from repro.dpst.engines import (
 from repro.dpst.stats import EngineStats
 from repro.dpst.vclock import VectorClockEngine
 from repro.errors import CheckerError, TraceError
+from repro.runtime import TaskProgram
 from repro.runtime.program import run_program
+from repro.trace.generator import GeneratorConfig, TraceGenerator
 from repro.trace.replay import _make_context
+
+from tests.conftest import build_figure2
 
 
 def tiny_program(ctx):
@@ -56,7 +63,7 @@ def diamond_tree():
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert set(available_engines()) >= {"lca", "labels", "vc", "depa"}
+        assert set(available_engines()) >= {"lca", "vc", "depa"}
 
     def test_available_engines_sorted(self):
         names = available_engines()
@@ -192,6 +199,80 @@ class TestNewEngines:
         assert engine.stats.queries == 1
 
 
+class TestEveryEngine:
+    """Engine-generic checks, run for every registered engine."""
+
+    @pytest.mark.parametrize("name", available_engines())
+    def test_figure2_verdicts(self, name):
+        tree = ArrayDPST()
+        s11, f12, a2, s2, s12, a3, s3 = build_figure2(tree)
+        engine = make_engine(name, tree)
+        assert engine.parallel(s2, s12)
+        assert engine.parallel(s2, s3)
+        assert not engine.parallel(s11, s2)
+        assert not engine.parallel(s12, s3)
+
+    @pytest.mark.parametrize("name", available_engines())
+    def test_figure2_precedes(self, name):
+        tree = ArrayDPST()
+        s11, f12, a2, s2, s12, a3, s3 = build_figure2(tree)
+        engine = make_engine(name, tree)
+        assert engine.precedes(s11, s2)
+        assert engine.precedes(s12, s3)
+        assert not engine.precedes(s3, s12)
+        assert not engine.precedes(s2, s3)  # parallel, not ordered
+
+    @pytest.mark.parametrize("name", available_engines())
+    def test_stats_count_queries_and_unique_pairs(self, name):
+        tree = ArrayDPST()
+        s11, f12, a2, s2, s12, a3, s3 = build_figure2(tree)
+        engine = make_engine(name, tree)
+        engine.parallel(s2, s3)
+        engine.parallel(s2, s3)
+        assert engine.stats.queries == 2
+        assert engine.stats.unique == 1
+        engine.reset_stats()
+        assert engine.stats.queries == 0
+
+    @pytest.mark.parametrize(
+        "name", [name for name in available_engines() if name != "lca"]
+    )
+    @given(seed=st.integers(min_value=0, max_value=3_000))
+    @settings(
+        max_examples=15, deadline=None,
+        suppress_health_check=[
+            HealthCheck.too_slow, HealthCheck.function_scoped_fixture
+        ],
+    )
+    def test_checker_verdicts_match_lca_on_generated_programs(self, name, seed):
+        generator = TraceGenerator(
+            GeneratorConfig(tasks=4, accesses_per_task=3, locations=2, locks=1)
+        )
+        program = generator.generate_program(seed=seed)
+        with_lca = OptAtomicityChecker(mode="thorough")
+        run_program(program, observers=[with_lca], parallel_engine="lca")
+        with_other = OptAtomicityChecker(mode="thorough")
+        run_program(program, observers=[with_other], parallel_engine=name)
+        assert set(with_lca.report.locations()) == set(
+            with_other.report.locations()
+        )
+
+    @pytest.mark.parametrize(
+        "name", [name for name in available_engines() if name != "lca"]
+    )
+    def test_suite_passes(self, name):
+        from repro.suite import all_cases
+
+        for case in all_cases():
+            checker = OptAtomicityChecker()
+            result = run_program(
+                case.build(), observers=[checker], parallel_engine=name
+            )
+            assert set(result.report().locations()) == set(case.expected), (
+                case.name
+            )
+
+
 class TestRuntimePlumbing:
     @pytest.mark.parametrize("name", ["vc", "depa"])
     def test_run_program_accepts_new_engines(self, name):
@@ -201,6 +282,42 @@ class TestRuntimePlumbing:
         )
         assert result.report().locations() == ["X"]
         assert engine_name_of(result.engine) == name
+
+    @pytest.mark.parametrize(
+        "name", [name for name in available_engines() if name != "lca"]
+    )
+    def test_selected_engine_answers_checker_queries(self, name):
+        def rmw(ctx):
+            value = ctx.read("X")
+            ctx.write("X", value + 1)
+
+        def main(ctx):
+            ctx.spawn(rmw)
+            ctx.spawn(rmw)
+            ctx.sync()
+
+        result = run_program(
+            TaskProgram(main),
+            observers=[OptAtomicityChecker()],
+            parallel_engine=name,
+        )
+        assert set(result.report().locations()) == {"X"}
+        assert engine_name_of(result.engine) == name
+        assert result.engine.stats.queries > 0
+
+    def test_run_program_rejects_retired_labels_engine(self):
+        def main(ctx):
+            ctx.read("X")
+
+        with pytest.raises(ValueError) as exc:
+            run_program(
+                TaskProgram(main),
+                observers=[OptAtomicityChecker()],
+                parallel_engine="labels",
+            )
+        assert isinstance(exc.value, UnknownEngineError)
+        for name in available_engines():
+            assert name in str(exc.value)
 
     def test_run_program_unknown_engine(self):
         with pytest.raises(UnknownEngineError):

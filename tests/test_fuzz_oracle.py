@@ -54,7 +54,8 @@ def test_clean_seeds_agree_across_the_matrix():
         outcome = check_seed(seed, jobs=2)
         assert outcome.ok, outcome.describe()
         assert "reference" in outcome.verdicts
-        assert "labels-engine" in outcome.verdicts
+        assert "vc-engine" in outcome.verdicts
+        assert "depa-engine" in outcome.verdicts
         assert "sharded-jobs2" in outcome.verdicts
         assert "prefilter" in outcome.verdicts
         assert "prefilter-poisoned" in outcome.verdicts

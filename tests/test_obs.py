@@ -13,7 +13,7 @@ import warnings
 import pytest
 
 from repro.checker import OptAtomicityChecker
-from repro.dpst import EngineStats, LabelEngine, LCAEngine
+from repro.dpst import EngineStats, LCAEngine, available_engines, make_engine
 from repro.obs import (
     METRIC_NAMES,
     METRICS_SCHEMA,
@@ -278,8 +278,8 @@ class TestEngineStatsUnification:
         program = counter_program()
         result = run_program(program, observers=[OptAtomicityChecker()])
         trace = replay_trace_source(result)
-        for engine_cls in (LCAEngine, LabelEngine):
-            engine = engine_cls(trace.dpst)
+        for name in available_engines():
+            engine = make_engine(name, trace.dpst)
             steps = [
                 node_id
                 for node_id in range(len(trace.dpst))

@@ -18,8 +18,9 @@ from repro.trace.serialize import (
     event_to_dict,
     load_trace,
     trace_from_dict,
-    trace_to_dict,
 )
+
+from tests.conftest import write_v1_trace
 
 
 def recorded_run():
@@ -87,10 +88,11 @@ class TestEventRoundtrip:
 
 
 class TestTraceRoundtrip:
-    def test_dict_roundtrip_is_json_safe(self):
+    def test_dict_roundtrip_is_json_safe(self, tmp_path):
         result = recorded_run()
-        data = trace_to_dict(result.trace)
-        rehydrated = trace_from_dict(json.loads(json.dumps(data)))
+        path = write_v1_trace(result.trace, tmp_path / "trace.json")
+        with open(path, encoding="utf-8") as handle:
+            rehydrated = trace_from_dict(json.load(handle))
         assert len(rehydrated) == len(result.trace)
         rehydrated.validate()
 

@@ -20,6 +20,8 @@ from repro.trace.serialize import (
     open_trace,
 )
 
+from tests.conftest import write_v1_trace
+
 
 def recorded_run():
     def child(ctx, i):
@@ -117,8 +119,7 @@ class TestTraceReader:
         assert first == second
 
     def test_reads_v1_files_too(self, trace, tmp_path):
-        path = str(tmp_path / "t.json")
-        dump_trace(trace, path, format="json")
+        path = write_v1_trace(trace, tmp_path / "t.json")
         reader = open_trace(path)
         assert reader.version == 1
         assert len(reader.read()) == len(trace)
@@ -171,9 +172,8 @@ class TestShardFiltering:
         )
 
     def test_v1_files_shard_too(self, trace, tmp_path):
-        v1 = str(tmp_path / "t.json")
+        v1 = write_v1_trace(trace, tmp_path / "t.json")
         v2 = str(tmp_path / "t.jsonl")
-        dump_trace(trace, v1, format="json")
         dump_trace(trace, v2, format="jsonl")
         assert self.shards(open_trace(v1), 4) == self.shards(open_trace(v2), 4)
 
@@ -186,9 +186,8 @@ class TestShardFiltering:
 
 class TestFormatSelection:
     def test_sniffing(self, trace, tmp_path):
-        v1 = str(tmp_path / "t.json")
+        v1 = write_v1_trace(trace, tmp_path / "t.json")
         v2 = str(tmp_path / "t.jsonl")
-        dump_trace(trace, v1)
         dump_trace(trace, v2)
         assert not is_jsonl_trace(v1)
         assert is_jsonl_trace(v2)
@@ -210,10 +209,23 @@ class TestFormatSelection:
         with pytest.raises(TraceError):
             dump_trace(trace, str(tmp_path / "t.x"), format="yaml")
 
+    def test_v1_is_read_only(self, trace, tmp_path):
+        path = tmp_path / "t.json"
+        with pytest.raises(TraceError, match="'jsonl' or 'columnar'"):
+            dump_trace(trace, str(path), format="json")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("name", ["t.json", "t"])
+    def test_auto_writes_v2_for_non_columnar_suffixes(self, trace, tmp_path, name):
+        path = str(tmp_path / name)
+        dump_trace(trace, path)
+        assert TraceReader(path).version == 2
+
     def test_load_trace_handles_both(self, trace, tmp_path):
-        for name, format in (("a.json", "json"), ("b.jsonl", "jsonl")):
-            path = str(tmp_path / name)
-            dump_trace(trace, path, format=format)
+        v1 = write_v1_trace(trace, tmp_path / "a.json")
+        v2 = str(tmp_path / "b.jsonl")
+        dump_trace(trace, v2, format="jsonl")
+        for path in (v1, v2):
             assert len(load_trace(path)) == len(trace)
 
 

@@ -8,6 +8,8 @@ from repro.errors import TraceError
 from repro.report import ViolationReport
 from repro.trace.serialize import dump_trace
 
+from tests.conftest import write_v1_trace
+
 
 RUNS = []
 
@@ -92,7 +94,10 @@ class TestFileSource:
     @pytest.mark.parametrize("suffix", ["json", "jsonl"])
     def test_both_formats(self, tmp_path, suffix):
         path = str(tmp_path / f"trace.{suffix}")
-        dump_trace(recorded_trace(), path)
+        if suffix == "json":
+            write_v1_trace(recorded_trace(), path)
+        else:
+            dump_trace(recorded_trace(), path)
         session = CheckSession(path)
         assert session.source_kind == "file"
         assert set(session.check().locations()) == {"X"}
@@ -152,7 +157,7 @@ class TestAggregateViews:
 
 
 class TestEngineSelection:
-    @pytest.mark.parametrize("engine", ["lca", "labels"])
+    @pytest.mark.parametrize("engine", ["lca", "vc", "depa"])
     def test_engines_agree(self, engine):
         report = CheckSession(recorded_trace(), engine=engine).check()
         assert set(report.locations()) == {"X"}

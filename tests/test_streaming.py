@@ -22,6 +22,8 @@ from repro.runtime.executor import SerialExecutor
 from repro.suite import all_cases
 from repro.trace.serialize import dump_trace
 
+from tests.conftest import write_v1_trace
+
 WINDOWS = (1, 8, 64, 0)  # 0 = unbounded, via the session's window= mapping
 
 
@@ -362,10 +364,8 @@ class TestShardedEventsView:
     def files(self, trace, tmp_path):
         import json
 
-        files = {}
-        for format, suffix in (
-            ("json", ".json"), ("jsonl", ".jsonl"), ("columnar", ".trc")
-        ):
+        files = {"json": write_v1_trace(trace, tmp_path / "t.json")}
+        for format, suffix in (("jsonl", ".jsonl"), ("columnar", ".trc")):
             files[format] = str(tmp_path / ("t" + suffix))
             dump_trace(trace, files[format], format=format)
         # A v2 file from another producer: no "sk" stamps to filter on.
