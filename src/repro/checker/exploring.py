@@ -47,6 +47,8 @@ class ExploringVelodrome(RuntimeObserver):
 
     requires_dpst = True
     checker_name = "velodrome+explorer"
+    #: Lock events bound the legal schedules the explorer enumerates.
+    lifecycle = True
 
     def __init__(self, max_schedules: int = 2_000) -> None:
         self.max_schedules = max_schedules

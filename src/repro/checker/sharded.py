@@ -30,8 +30,10 @@ Workers replay their shard with :func:`repro.trace.replay.replay_events`
 and return a :class:`~repro.report.ViolationReport`; the driver merges them
 with :meth:`ViolationReport.merge`.  A shard holds its own memory events;
 a streaming checker's shard also holds every task lifecycle event, in
-trace order (:func:`checker_events`), so each worker releases finished
-tasks and its memory stays O(window).
+trace order (:func:`~repro.trace.replay.checker_events`), so each worker
+releases finished tasks and its memory stays O(window).  The one entry
+point is :func:`run_plan`, which runs a built
+:class:`~repro.plan.CheckPlan`.
 
 Static prefilter: ``skip_locations`` (normally produced by
 ``repro.static.lint`` serial-location proofs, via
@@ -62,12 +64,11 @@ from repro.checker.supervisor import (
     maybe_inject_fault,
     run_supervised,
 )
-from repro.checker.streaming import StreamingChecker
 from repro.errors import CheckerError, TraceError
 from repro.plan import CheckPlan, default_jobs  # noqa: F401 -- re-exported
 from repro.report import ViolationReport
 from repro.runtime.events import MemoryEvent
-from repro.trace.replay import replay_events
+from repro.trace.replay import checker_events, replay_events
 from repro.trace.serialize import (
     TraceReader,
     dpst_from_dict,
@@ -127,29 +128,6 @@ def shard_for_location(location: Location, jobs: int) -> int:
     return location_shard_key(location) % jobs
 
 
-def checker_events(
-    source: Union[Trace, TraceReader],
-    checker,
-    shard: Optional[int] = None,
-    jobs: Optional[int] = None,
-) -> Iterable[object]:
-    """The event stream the built *checker* consumes from *source*.
-
-    A streaming checker consumes the task lifecycle as well as memory
-    events: a ``TaskEndEvent`` lets its compaction sweep release the
-    finished task's metadata.  It gets the full stream; every other
-    checker gets the memory events only.  For a :class:`TraceReader`,
-    ``shard``/``jobs`` keep one shard's memory events (and, for the full
-    stream, every non-memory event).  An in-memory :class:`Trace` is
-    returned whole; :func:`partition_events` shards it.
-    """
-    lifecycle = isinstance(checker, StreamingChecker)
-    if isinstance(source, Trace):
-        return source.events if lifecycle else source.memory_events()
-    view = source.events if lifecycle else source.memory_events
-    return view(shard=shard, jobs=jobs)
-
-
 def _shard_of(event: MemoryEvent, jobs: int, annotations) -> int:
     """Shard of *event*, keyed on its annotation group when *annotations*
     is given (members of a multi-variable group share a metadata cell)."""
@@ -182,16 +160,6 @@ def partition_events(
             for shard in shards:
                 shard.append(event)
     return shards
-
-
-def partition_memory_events(
-    events: Iterable[object],
-    jobs: int,
-    annotations: Optional[AtomicAnnotations] = None,
-) -> List[List[MemoryEvent]]:
-    """:func:`partition_events` over the memory events of *events* only."""
-    memory = (event for event in events if isinstance(event, MemoryEvent))
-    return partition_events(memory, jobs, annotations)
 
 
 @dataclass(frozen=True)
@@ -330,33 +298,20 @@ def _mp_context(start_method: Optional[str] = None):
     return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
-def check_sharded(
+def run_plan(
+    plan: CheckPlan,
     source: TraceSource,
-    checker: CheckerSpec = "optimized",
-    jobs: Optional[int] = None,
     annotations: Optional[AtomicAnnotations] = None,
     lca_cache: bool = True,
-    parallel_engine: str = "lca",
     recorder=None,
     skip_locations: SkipLocations = None,
-    on_shard_failure: str = "retry",
-    max_retries: int = 2,
-    retry_backoff: float = 0.05,
-    shard_timeout: Optional[float] = None,
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
     strict: Optional[bool] = None,
-    start_method: Optional[str] = None,
+    retry_backoff: float = 0.05,
+    digest: Optional[str] = None,
 ) -> ViolationReport:
-    """Check *source* with ``jobs`` parallel per-location shards.
+    """Run a built *plan* over *source*: the one check driver.
 
-    Builds a :class:`~repro.plan.CheckPlan` from the check options --
-    *checker*, *jobs* (``None``: one per usable CPU), *parallel_engine*,
-    the checkpoint and worker-supervision options; ``docs/api.md``
-    ("Check plans") describes them, and every refusal matches
-    :meth:`repro.session.CheckSession.check` -- and runs it through
-    :func:`run_plan`.  With ``jobs > 1`` the checker must be
-    ``location_sharded``.
+    With ``plan.jobs > 1`` the checker must be ``location_sharded``.
 
     Parameters
     ----------
@@ -380,57 +335,20 @@ def check_sharded(
         silently).  Soundness is the caller's responsibility -- use
         :meth:`repro.session.CheckSession.check` with
         ``static_prefilter=...`` for the safety-gated path.
-    retry_backoff:
-        Base delay in seconds before a shard retry (see
-        :class:`~repro.checker.supervisor.WorkerPolicy`).
     strict:
         ``False`` turns on lenient trace ingestion for file sources
         (undecodable JSONL lines are counted as ``trace.lines_skipped``
         and skipped, never silently); ``None`` inherits the reader's
         own mode (``True`` for paths).
+    retry_backoff:
+        Base delay in seconds before a shard retry (see
+        :class:`~repro.checker.supervisor.WorkerPolicy`).
+    digest:
+        The source's :func:`repro.cache.source_digest` when the caller
+        already has it; it is only needed (and otherwise computed) when
+        the plan checkpoints.
 
     Returns the merged, deduplicated :class:`ViolationReport`.
-    """
-    plan = CheckPlan(
-        checker=checker,
-        jobs=jobs,
-        engine=parallel_engine,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-        on_shard_failure=on_shard_failure,
-        max_retries=max_retries,
-        shard_timeout=shard_timeout,
-        start_method=start_method,
-    )
-    return run_plan(
-        plan,
-        source,
-        annotations=annotations,
-        lca_cache=lca_cache,
-        recorder=recorder,
-        skip_locations=skip_locations,
-        strict=strict,
-        retry_backoff=retry_backoff,
-    )
-
-
-def run_plan(
-    plan: CheckPlan,
-    source: TraceSource,
-    annotations: Optional[AtomicAnnotations] = None,
-    lca_cache: bool = True,
-    recorder=None,
-    skip_locations: SkipLocations = None,
-    strict: Optional[bool] = None,
-    retry_backoff: float = 0.05,
-    digest: Optional[str] = None,
-) -> ViolationReport:
-    """Run a built *plan* over *source*: the one check driver.
-
-    The keywords mean what they mean for :func:`check_sharded`.
-    *digest* is the source's :func:`repro.cache.source_digest` when the
-    caller already has it; it is only needed (and otherwise computed)
-    when the plan checkpoints.
     """
     if skip_locations is not None and not skip_locations:
         skip_locations = None

@@ -74,6 +74,8 @@ class StreamingChecker(RuntimeObserver):
     """
 
     checker_name = "streaming"
+    #: Task ends let the sweep release finished tasks' metadata.
+    lifecycle = True
 
     def __init__(
         self, window: Optional[int] = DEFAULT_WINDOW, checker="optimized", **checker_kwargs

@@ -12,14 +12,14 @@ Commands
     statistics and report.
 ``dpst MODULE:FUNC``
     Execute a program and print its dynamic program structure tree.
-``record MODULE:FUNC -o FILE`` / ``replay FILE``
+``record MODULE:FUNC -o FILE``
     Serialize an execution trace (streaming JSONL or binary columnar,
-    picked by extension or ``--format``) / replay a saved trace through a
-    checker.
-``check-trace FILE --jobs N``
+    picked by extension or ``--format``).
+``check-trace FILE --jobs N`` (alias ``replay``)
     The offline pipeline: check a recorded trace file through the unified
     :class:`~repro.session.CheckSession` API, optionally sharded by
-    location across N worker processes.
+    location across N worker processes.  Its flags are the
+    :class:`~repro.plan.CheckPlan` fields (:func:`_check_flags`).
 ``lint MODULE:FUNC`` / ``lint --spec FILE``
     The static atomicity lint pass (:mod:`repro.static`): builds the
     static series-parallel skeleton, runs MHP + lockset analysis, and
@@ -45,7 +45,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import sys
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.checker import CHECKER_FACTORIES, make_checker
 from repro.runtime import (
@@ -122,37 +122,147 @@ def _make_executor(name: str, seed: int, workers: int):
     raise SystemExit(f"unknown executor {name!r}")
 
 
-def _add_run_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--checker", choices=CHECKER_NAMES, default="optimized",
-        help="analysis to attach (default: optimized)",
-    )
+def _add_executor_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--executor", choices=("serial", "help-first", "random", "worksteal"),
         default="serial", help="scheduling strategy (default: serial)",
     )
     parser.add_argument("--seed", type=int, default=0, help="random executor seed")
     parser.add_argument("--workers", type=int, default=4, help="work-stealing pool size")
-    parser.add_argument(
-        "--dpst-layout", choices=("array", "linked"), default="array",
-        help="DPST representation (default: array)",
-    )
-    _add_engine_option(parser)
 
 
-def _add_engine_option(parser: argparse.ArgumentParser) -> None:
+def _job_count(text: str) -> int:
+    """``--jobs`` value: a worker count, ``0`` meaning one per CPU."""
+    from repro.plan import default_jobs
+
+    return int(text) or default_jobs()
+
+
+def _check_flags() -> Dict[str, Tuple[str, Dict[str, Any]]]:
+    """Every check option the CLI sets, keyed by its ``dest``.
+
+    A key is a :class:`~repro.plan.CheckPlan` field, except ``metrics``
+    and ``lenient``, which configure the session.  Each row holds the
+    flag and its argparse settings; a plan field's default and metavar
+    come from the plan.  ``check-trace`` takes every row, the other
+    subcommands the rows they read (:func:`_add_check_flags`);
+    :func:`_plan_options` and :func:`_flag_spelling` derive the plan
+    keywords and the usage-error wording from the same rows.  Built on
+    demand, so the engine choices track the registry.
+    """
     from repro.dpst.engines import available_engines
+    from repro.plan import PLAN_FIELDS
 
-    choices = available_engines()
-    parser.add_argument(
-        "--engine", choices=choices, default="lca",
-        help="parallelism-query engine: %s (default: lca)" % ", ".join(choices),
-    )
+    engines = available_engines()
+    rows: Dict[str, Tuple[str, Dict[str, Any]]] = {
+        "checker": ("--checker", dict(
+            choices=CHECKER_NAMES, help="analysis to run (default: %(default)s)",
+        )),
+        "jobs": ("--jobs", dict(
+            type=_job_count,
+            help="worker processes for location-sharded checking "
+            "(default: 1 = in-process; 0 = one per CPU)",
+        )),
+        "engine": ("--engine", dict(
+            choices=engines,
+            help="parallelism-query engine: %s (default: %%(default)s)"
+            % ", ".join(engines),
+        )),
+        "static_prefilter": ("--static-prefilter", dict(
+            metavar="MODULE:FUNC",
+            help="lint the named program (the one this trace was recorded "
+            "from) and skip locations proven schedule-serial",
+        )),
+        "checkpoint_dir": ("--checkpoint", dict(
+            help="persist each completed shard's report under DIR so an "
+            "interrupted run can be resumed",
+        )),
+        "resume": ("--resume", dict(
+            action="store_true",
+            help="reuse completed shards from --checkpoint DIR (same trace, "
+            "jobs count and checker required); only the rest is re-checked",
+        )),
+        "on_shard_failure": ("--on-shard-failure", dict(
+            choices=("retry", "inline", "raise"),
+            help="crashed/hung worker handling: bounded retry (default), "
+            "degrade to in-process checking, or abort",
+        )),
+        "max_retries": ("--retries", dict(
+            type=int,
+            help="extra worker attempts per shard before giving up "
+            "(default: %(default)s)",
+        )),
+        "shard_timeout": ("--shard-timeout", dict(
+            type=float,
+            help="kill a shard attempt exceeding this wall-clock budget "
+            "(default: no timeout)",
+        )),
+        "start_method": ("--start-method", dict(
+            choices=("fork", "spawn", "forkserver"),
+            help="multiprocessing start method for workers (default: fork "
+            "where available)",
+        )),
+        "cache_dir": ("--cache-dir", dict(
+            help="content-addressed result cache: serve this check as a hash "
+            "lookup when the same trace/checker/engine was seen before "
+            "(bypasses are printed, never silent)",
+        )),
+        "streaming": ("--streaming", dict(
+            action="store_true",
+            help="check incrementally with bounded memory: events stream "
+            "through a windowed checker that compacts dead metadata instead "
+            "of materializing the trace (same report as offline)",
+        )),
+        "window": ("--window", dict(
+            type=int,
+            help="events between streaming compaction sweeps (default: 4096; "
+            "0 = never compact); needs --streaming",
+        )),
+        "metrics": ("--metrics", dict(
+            metavar="OUT.json",
+            help="collect observability metrics (merged counters and "
+            "per-shard spans) and write the snapshot here",
+        )),
+        "lenient": ("--lenient", dict(
+            action="store_true",
+            help="skip (and count) undecodable trace lines instead of "
+            "aborting; the skip count is always printed",
+        )),
+    }
+    for dest, plan_field in PLAN_FIELDS.items():
+        settings = rows[dest][1]
+        settings["default"] = plan_field.default
+        if "metavar" in plan_field.metadata:
+            settings.setdefault("metavar", plan_field.metadata["metavar"])
+    return rows
+
+
+def _add_check_flags(parser: argparse.ArgumentParser, *dests: str) -> None:
+    """Add the :func:`_check_flags` rows *dests* (default: every row)."""
+    rows = _check_flags()
+    for dest in dests or rows:
+        flag, settings = rows[dest]
+        parser.add_argument(flag, dest=dest, **settings)
+
+
+def _plan_options(args: argparse.Namespace) -> Dict[str, Any]:
+    """The plan keywords *args* carries: one per plan-field flag parsed."""
+    from repro.plan import PLAN_FIELDS
+
+    return {dest: getattr(args, dest) for dest in PLAN_FIELDS if hasattr(args, dest)}
+
+
+def _flag_spelling(name: str, valued: bool) -> str:
+    """Plan field *name* as its flag, for :meth:`UsageError.spelled`."""
+    flag, settings = _check_flags()[name]
+    if valued and "metavar" in settings:
+        return f"{flag} {settings['metavar']}"
+    return flag
 
 
 def _metrics_recorder(args: argparse.Namespace):
     """A collecting recorder when ``--metrics PATH`` was given, else None."""
-    if not getattr(args, "metrics", None):
+    if not args.metrics:
         return None
     from repro.obs import MetricsRecorder
 
@@ -215,113 +325,67 @@ def _print_cache(session) -> None:
         print(f"result cache: miss {info['key'][:12]} (stored)")
 
 
-def _check_with_prefilter(body, args: argparse.Namespace, recorder) -> int:
-    """The ``check --static-prefilter`` path, routed through CheckSession."""
-    from repro.obs import MetricsRecorder
-    from repro.session import CheckSession
-
-    if args.dpst_layout != "array":
-        raise SystemExit(
-            "--static-prefilter checks through CheckSession, which uses "
-            "the array DPST layout; drop --dpst-layout"
-        )
-    if recorder is None:
-        # A private recorder so the skipped-event count can be reported.
-        recorder = MetricsRecorder()
-    session = CheckSession(
-        TaskProgram(body),
-        checker=args.checker,
-        engine=args.engine,
-        executor=_make_executor(args.executor, args.seed, args.workers),
-        recorder=recorder,
-    )
-    report = session.check(static_prefilter=True)
-    print(report.describe())
-    _print_prefilter(session, recorder)
-    result = session.run_result
-    if args.stats and result is not None and result.stats is not None:
-        stats = result.stats
-        print(
-            f"\ntasks={stats.tasks} accesses={stats.memory_events} "
-            f"dpst_nodes={stats.dpst_nodes} lca_queries={stats.lca_queries}"
-        )
-    _dump_metrics(recorder if getattr(args, "metrics", None) else None, args)
-    return 1 if report else 0
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     body = _load_callable(args.program)
     recorder = _metrics_recorder(args)
+    executor = _make_executor(args.executor, args.seed, args.workers)
     if args.static_prefilter:
-        return _check_with_prefilter(body, args, recorder)
-    checker = make_checker(args.checker)
-    result = run_program(
-        TaskProgram(body),
-        executor=_make_executor(args.executor, args.seed, args.workers),
-        observers=[checker],
-        dpst_layout=args.dpst_layout,
-        parallel_engine=args.engine,
-        collect_stats=True,
-        recorder=recorder,
-    )
-    print(result.report().describe())
-    if args.stats and result.stats is not None:
+        # Record, then check offline through CheckSession.  A private
+        # recorder, so the dropped events and the check's own engine
+        # queries can be reported.
+        from repro.obs import MetricsRecorder
+        from repro.session import CheckSession
+
+        recorder = recorder or MetricsRecorder()
+        session = CheckSession(
+            TaskProgram(body),
+            checker=args.checker,
+            engine=args.engine,
+            executor=executor,
+            recorder=recorder,
+        )
+        report = session.check(static_prefilter=True)
+        stats = session.run_result.stats
+        queries = int(recorder.snapshot().counters.get("engine.queries", 0))
+    else:
+        result = run_program(
+            TaskProgram(body),
+            executor=executor,
+            observers=[make_checker(args.checker)],
+            parallel_engine=args.engine,
+            collect_stats=True,
+            recorder=recorder,
+        )
+        report = result.report()
         stats = result.stats
+        queries = stats.lca_queries
+    print(report.describe())
+    if args.static_prefilter:
+        _print_prefilter(session, recorder)
+    if args.stats:
         print(
             f"\ntasks={stats.tasks} accesses={stats.memory_events} "
-            f"dpst_nodes={stats.dpst_nodes} lca_queries={stats.lca_queries}"
+            f"dpst_nodes={stats.dpst_nodes} lca_queries={queries}"
         )
-    _dump_metrics(recorder, args)
-    return 1 if result.report() else 0
+    _dump_metrics(recorder if args.metrics else None, args)
+    return 1 if report else 0
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
     from repro.bench.reporting import render_table
     from repro.suite import all_cases
 
-    engine = getattr(args, "engine", "lca")
-    cache_dir = getattr(args, "cache_dir", None)
-    cache_hits = cache_misses = cache_bypasses = 0
     rows: List[List[str]] = []
     mismatches = 0
     for case in all_cases():
         if args.category and case.category != args.category:
             continue
-        if cache_dir:
-            # Record-then-check so the run is content-addressable: the
-            # deterministic executor replays each case to the same trace,
-            # making a repeated suite run a pure hash lookup.  The
-            # program's own annotations ride along; non-trivial ones
-            # bypass the cache (counted below) rather than mis-keying.
-            from repro.session import CheckSession
-
-            program = case.build()
-            result = run_program(
-                program, record_trace=True, parallel_engine=engine
-            )
-            session = CheckSession(
-                result.trace,
-                checker=args.checker,
-                engine=engine,
-                annotations=program.annotations,
-            )
-            report = session.check(cache_dir=cache_dir)
-            found = set(report.locations())
-            info = session.cache_info or {}
-            if info.get("hit"):
-                cache_hits += 1
-            elif info.get("applied"):
-                cache_misses += 1
-            else:
-                cache_bypasses += 1
-        else:
-            checker = make_checker(args.checker)
-            result = run_program(
-                case.build(),
-                observers=[checker],
-                parallel_engine=engine,
-            )
-            found = set(result.report().locations())
+        result = run_program(
+            case.build(),
+            observers=[make_checker(args.checker)],
+            parallel_engine=args.engine,
+        )
+        found = set(result.report().locations())
         ok = found == set(case.expected)
         mismatches += 0 if ok else 1
         rows.append(
@@ -341,11 +405,6 @@ def cmd_suite(args: argparse.Namespace) -> int:
         )
     )
     print(f"\n{len(rows)} case(s), {mismatches} mismatch(es)")
-    if cache_dir:
-        print(
-            f"result cache: {cache_hits} hit(s), {cache_misses} miss(es), "
-            f"{cache_bypasses} bypassed"
-        )
     return 1 if mismatches else 0
 
 
@@ -358,7 +417,6 @@ def cmd_workload(args: argparse.Namespace) -> int:
         spec.build(args.scale),
         executor=_make_executor(args.executor, args.seed, args.workers),
         observers=[checker],
-        dpst_layout=args.dpst_layout,
         parallel_engine=args.engine,
         collect_stats=True,
     )
@@ -399,38 +457,16 @@ def cmd_record(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_replay(args: argparse.Namespace) -> int:
-    from repro.trace.replay import replay_trace
-    from repro.trace.serialize import load_trace
-
-    trace = load_trace(args.trace)
-    checker = make_checker(args.checker)
-    report = replay_trace(trace, checker)
-    print(report.describe())
-    return 1 if report else 0
-
-
-#: The ``check-trace`` flag spelling of each :class:`~repro.plan.CheckPlan`
-#: field a :class:`~repro.plan.UsageError` can name.
-_PLAN_FLAGS = {
-    "window": "--window",
-    "streaming": "--streaming",
-    "resume": "--resume",
-    "checkpoint_dir": "--checkpoint DIR",
-}
-
-
 def cmd_check_trace(args: argparse.Namespace) -> int:
     from repro.plan import UsageError
     from repro.session import CheckSession
 
-    jobs = None if args.jobs == 0 else args.jobs
-    recorder = _metrics_recorder(args)
-    prefilter: Any = False
+    options = _plan_options(args)
     if args.static_prefilter:
         # Offline traces carry no program text, so the prefilter flag
         # names the program (MODULE:FUNC) the trace was recorded from.
-        prefilter = _load_lint_target(args.static_prefilter)
+        options["static_prefilter"] = _load_lint_target(args.static_prefilter)
+    recorder = _metrics_recorder(args)
     if recorder is None and (
         args.static_prefilter or args.lenient or args.streaming
     ):
@@ -439,28 +475,11 @@ def cmd_check_trace(args: argparse.Namespace) -> int:
         from repro.obs import MetricsRecorder
 
         recorder = MetricsRecorder()
-    session = CheckSession(
-        args.trace, checker=args.checker, jobs=jobs, engine=args.engine,
-        recorder=recorder, strict=not args.lenient,
-    )
+    session = CheckSession(args.trace, recorder=recorder, strict=not args.lenient)
     try:
-        report = session.check(
-            static_prefilter=prefilter,
-            checkpoint_dir=args.checkpoint,
-            resume=args.resume,
-            on_shard_failure=args.on_shard_failure,
-            max_retries=args.retries,
-            shard_timeout=args.shard_timeout,
-            start_method=args.start_method,
-            cache_dir=args.cache_dir,
-            streaming=args.streaming,
-            window=args.window,
-        )
+        report = session.check(**options)
     except UsageError as exc:
-        raise SystemExit(
-            f"{_PLAN_FLAGS[exc.option]} needs {_PLAN_FLAGS[exc.needs]}: "
-            f"{exc.reason}"
-        ) from exc
+        raise SystemExit(exc.spelled(_flag_spelling)) from exc
     print(report.describe())
     skipped = session.lines_skipped
     if not skipped and recorder is not None and recorder.enabled:
@@ -477,7 +496,7 @@ def cmd_check_trace(args: argparse.Namespace) -> int:
     _print_prefilter(session, recorder)
     _print_cache(session)
     _print_streaming(session.plan, recorder)
-    _dump_metrics(recorder if getattr(args, "metrics", None) else None, args)
+    _dump_metrics(recorder if args.metrics else None, args)
     return 1 if report else 0
 
 
@@ -816,34 +835,28 @@ def build_parser() -> argparse.ArgumentParser:
     check = commands.add_parser("check", help="check a task body MODULE:FUNC")
     check.add_argument("program", help="import path, e.g. mypkg.mymod:main")
     check.add_argument("--stats", action="store_true", help="print run statistics")
-    check.add_argument(
-        "--metrics", metavar="OUT.json", default=None,
-        help="collect observability metrics and write the snapshot here",
-    )
+    # A switch here, unlike check-trace's MODULE:FUNC: check lints the
+    # program it runs.
     check.add_argument(
         "--static-prefilter", action="store_true",
         help="lint the body first and skip locations proven "
         "schedule-serial (refused, with the reason printed, unless the "
         "static skeleton is exact)",
     )
-    _add_run_options(check)
+    _add_check_flags(check, "checker", "engine", "metrics")
+    _add_executor_options(check)
     check.set_defaults(handler=cmd_check)
 
     suite = commands.add_parser("suite", help="run the 36-program violation suite")
     suite.add_argument("--category", help="restrict to one category")
-    suite.add_argument("--checker", choices=CHECKER_NAMES, default="optimized")
-    suite.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help="content-addressed result cache: record each case's trace "
-        "and serve repeat checks as hash lookups",
-    )
-    _add_engine_option(suite)
+    _add_check_flags(suite, "checker", "engine")
     suite.set_defaults(handler=cmd_suite)
 
     workload = commands.add_parser("workload", help="run a benchmark kernel")
     workload.add_argument("name", help="workload name (see repro.workloads)")
     workload.add_argument("--scale", type=int, default=1)
-    _add_run_options(workload)
+    _add_check_flags(workload, "checker", "engine")
+    _add_executor_options(workload)
     workload.set_defaults(handler=cmd_workload)
 
     dpst = commands.add_parser("dpst", help="print a program's DPST")
@@ -859,94 +872,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="serialization format; auto picks binary columnar (v3) for "
         ".trc/.v3 paths and JSONL (v2) for any other path",
     )
-    _add_run_options(record)
+    _add_check_flags(record, "engine")
+    _add_executor_options(record)
     record.set_defaults(handler=cmd_record)
-
-    replay = commands.add_parser("replay", help="replay a recorded trace")
-    replay.add_argument("trace")
-    replay.add_argument("--checker", choices=CHECKER_NAMES, default="optimized")
-    replay.set_defaults(handler=cmd_replay)
 
     check_trace = commands.add_parser(
         "check-trace",
+        aliases=["replay"],
         help="check a recorded trace file, optionally sharded over N processes",
     )
     check_trace.add_argument(
         "trace", help="trace file (JSON, JSONL, or columnar .trc)"
     )
-    check_trace.add_argument(
-        "--checker", choices=CHECKER_NAMES, default="optimized",
-        help="analysis to run (default: optimized)",
-    )
-    check_trace.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for location-sharded checking "
-        "(default: 1 = in-process; 0 = one per CPU)",
-    )
-    check_trace.add_argument(
-        "--metrics", metavar="OUT.json", default=None,
-        help="collect pipeline metrics (merged counters + per-shard spans) "
-        "and write the snapshot here",
-    )
-    check_trace.add_argument(
-        "--static-prefilter", metavar="MODULE:FUNC", default=None,
-        help="lint the named program (the one this trace was recorded "
-        "from) and skip locations proven schedule-serial",
-    )
-    check_trace.add_argument(
-        "--checkpoint", metavar="DIR", default=None,
-        help="persist each completed shard's report under DIR so an "
-        "interrupted run can be resumed",
-    )
-    check_trace.add_argument(
-        "--resume", action="store_true",
-        help="reuse completed shards from --checkpoint DIR (same trace, "
-        "jobs count and checker required); only the rest is re-checked",
-    )
-    check_trace.add_argument(
-        "--on-shard-failure", choices=("retry", "inline", "raise"),
-        default="retry",
-        help="crashed/hung worker handling: bounded retry (default), "
-        "degrade to in-process checking, or abort",
-    )
-    check_trace.add_argument(
-        "--retries", type=int, default=2, metavar="N",
-        help="extra worker attempts per shard before giving up (default: 2)",
-    )
-    check_trace.add_argument(
-        "--shard-timeout", type=float, default=None, metavar="SECONDS",
-        help="kill a shard attempt exceeding this wall-clock budget "
-        "(default: no timeout)",
-    )
-    check_trace.add_argument(
-        "--lenient", action="store_true",
-        help="skip (and count) undecodable trace lines instead of "
-        "aborting; the skip count is always printed",
-    )
-    check_trace.add_argument(
-        "--start-method", choices=("fork", "spawn", "forkserver"),
-        default=None,
-        help="multiprocessing start method for workers (default: fork "
-        "where available)",
-    )
-    check_trace.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help="content-addressed result cache: serve this check as a hash "
-        "lookup when the same trace/checker/engine was seen before "
-        "(bypasses are printed, never silent)",
-    )
-    check_trace.add_argument(
-        "--streaming", action="store_true",
-        help="check incrementally with bounded memory: events stream "
-        "through a windowed checker that compacts dead metadata instead "
-        "of materializing the trace (same report as offline)",
-    )
-    check_trace.add_argument(
-        "--window", type=int, default=None, metavar="N",
-        help="events between streaming compaction sweeps (default: 4096; "
-        "0 = never compact); needs --streaming",
-    )
-    _add_engine_option(check_trace)
+    _add_check_flags(check_trace)
     check_trace.set_defaults(handler=cmd_check_trace)
 
     lint = commands.add_parser(
@@ -1005,7 +943,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(static access set vs observed trace)",
     )
     coverage.add_argument("program")
-    _add_run_options(coverage)
+    _add_executor_options(coverage)
     coverage.set_defaults(handler=cmd_coverage)
 
     table1 = commands.add_parser("table1", help="Table 1 harness")
@@ -1051,12 +989,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--report-dir", metavar="DIR", default="fuzz-reports",
         help="directory for shrunk reproducer modules (default: fuzz-reports)",
     )
-    fuzz.add_argument(
-        "--metrics", metavar="OUT.json", default=None,
-        help="collect fuzz.* observability metrics and write the snapshot here",
-    )
     fuzz.add_argument("--verbose", action="store_true", help="print per-run progress")
-    _add_engine_option(fuzz)
+    _add_check_flags(fuzz, "engine", "metrics")
     fuzz.add_argument(
         "--tasks", type=int, default=6,
         help="generator: spawn budget per program (default: 6)",

@@ -1,20 +1,21 @@
 """Check plans: every option of one check, validated in one place.
 
-A :class:`CheckPlan` is the frozen configuration of one check -- exactly
-the keywords of :meth:`repro.session.CheckSession.check`.  Building it is
-the only place that refuses an option combination or resolves a default;
-``CheckSession.check`` and :func:`repro.checker.sharded.check_sharded`
-(and through them ``repro check-trace``) each build one and hand it to
-the one driver, :func:`repro.checker.sharded.run_plan`.  ``docs/api.md``
-("Check plans") lists the fields, the refused combinations and what is
-derived from a plan.
+A :class:`CheckPlan` is the frozen configuration of one check, and its
+fields are the only list of check keywords.
+:meth:`repro.session.CheckSession.check` passes its keywords to
+:meth:`CheckPlan.from_options`, ``repro check-trace`` derives its flags
+from the fields, and the one driver,
+:func:`repro.checker.sharded.run_plan`, runs the result.  Building a plan
+is the only place that refuses an option combination or resolves a
+default.  ``docs/api.md`` ("Check plans") lists the fields, the refused
+combinations and what is derived from a plan.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.checker import checker_name_of, make_checker
 from repro.checker.streaming import DEFAULT_WINDOW, StreamingChecker
@@ -41,25 +42,34 @@ def default_jobs() -> int:
 class UsageError(CheckerError):
     """An option given without the option it only works with.
 
-    ``option`` and ``needs`` are :class:`CheckPlan` field names, so each
-    front end can spell them its own way; ``reason`` is the shared text.
+    ``option`` and ``needs`` are :class:`CheckPlan` field names and
+    ``reason`` is the shared text.  The message spells the fields as
+    keywords (:func:`_keyword_spelling`); :meth:`spelled` lets a front end
+    spell them its own way.
     """
-
-    #: How the dependent options are spelled as keyword arguments.
-    SPELLING = {
-        "window": "window=",
-        "streaming": "streaming=True",
-        "resume": "resume=True",
-        "checkpoint_dir": "checkpoint_dir=DIR",
-    }
 
     def __init__(self, option: str, needs: str, reason: str) -> None:
         self.option = option
         self.needs = needs
         self.reason = reason
-        super().__init__(
-            f"{self.SPELLING[option]} needs {self.SPELLING[needs]}: {reason}"
-        )
+        super().__init__(self.spelled(_keyword_spelling))
+
+    def spelled(self, spell: Callable[[str, bool], str]) -> str:
+        """The message with each field spelled by ``spell(name, valued)``:
+        the option bare, the option it needs with its value placeholder."""
+        option = spell(self.option, False)
+        return f"{option} needs {spell(self.needs, True)}: {self.reason}"
+
+
+def _keyword_spelling(name: str, valued: bool) -> str:
+    """Plan field *name* as a keyword: ``name=True`` for a switch, else
+    ``name=`` followed, when *valued*, by the field's ``metavar``."""
+    plan_field = PLAN_FIELDS[name]
+    if plan_field.default is False:
+        return f"{name}=True"
+    if not valued:
+        return f"{name}="
+    return f"{name}={plan_field.metadata.get('metavar', '')}"
 
 
 @dataclass(frozen=True)
@@ -67,24 +77,31 @@ class CheckPlan:
     """The validated configuration of one check.
 
     Fields are the :meth:`~repro.session.CheckSession.check` keywords;
-    ``docs/api.md`` ("Check plans") describes each one.  The attributes
-    after ``window`` are derived while the plan is built.
+    ``docs/api.md`` ("Check plans") describes each one.  A ``metavar``
+    in a field's metadata names its value in messages and CLI help.  The
+    attributes after ``window`` are derived while the plan is built.
     """
 
     checker: Any = "optimized"
     checker_kwargs: Dict[str, Any] = field(default_factory=dict)
-    jobs: Optional[int] = 1
+    jobs: Optional[int] = field(default=1, metadata={"metavar": "N"})
     engine: str = "lca"
     static_prefilter: Any = False
-    checkpoint_dir: Optional[str] = None
+    checkpoint_dir: Optional[str] = field(
+        default=None, metadata={"metavar": "DIR"}
+    )
     resume: bool = False
     on_shard_failure: str = "retry"
-    max_retries: int = 2
-    shard_timeout: Optional[float] = None
+    max_retries: int = field(default=2, metadata={"metavar": "N"})
+    shard_timeout: Optional[float] = field(
+        default=None, metadata={"metavar": "SECONDS"}
+    )
     start_method: Optional[str] = None
-    cache_dir: Optional[str] = None
+    cache_dir: Optional[str] = field(
+        default=None, metadata={"metavar": "DIR"}
+    )
     streaming: bool = False
-    window: Optional[int] = None
+    window: Optional[int] = field(default=None, metadata={"metavar": "N"})
 
     #: Events between compaction sweeps (``None``: never sweep).
     sweep_window: Optional[int] = field(init=False)
@@ -148,6 +165,26 @@ class CheckPlan:
                     "location-sharded (its verdict depends on cross-location "
                     "event order); run it with jobs=1"
                 )
+
+    @classmethod
+    def from_options(
+        cls, options: Mapping[str, Any], **defaults: Any
+    ) -> "CheckPlan":
+        """Build a plan from check keywords.
+
+        A key naming a plan field (:data:`PLAN_FIELDS`) sets it; every
+        other key is a checker kwarg.  *defaults* fill the fields that
+        *options* leaves out or sets to ``None`` -- a session's checker,
+        jobs and engine.
+        """
+        settings = dict(defaults)
+        checker_kwargs = {}
+        for name, value in options.items():
+            if name not in PLAN_FIELDS:
+                checker_kwargs[name] = value
+            elif value is not None or name not in defaults:
+                settings[name] = value
+        return cls(checker_kwargs=checker_kwargs, **settings)
 
     def __getstate__(self) -> Dict[str, Any]:
         # Workers receive resolved skip locations, never the lint target,
@@ -234,3 +271,12 @@ class CheckPlan:
             trace=digest,
             resume=self.resume,
         )
+
+
+#: The check keywords: every field set at construction except
+#: ``checker_kwargs``, which collects the rest.
+PLAN_FIELDS = {
+    plan_field.name: plan_field
+    for plan_field in fields(CheckPlan)
+    if plan_field.init and plan_field.name != "checker_kwargs"
+}

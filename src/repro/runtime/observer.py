@@ -62,6 +62,12 @@ class RuntimeObserver:
     #: ``False``.
     location_sharded = False
 
+    #: Set to ``True`` when the observer also consumes the task and lock
+    #: events of a recorded trace, not only its memory events.  Offline
+    #: drivers (:func:`repro.trace.replay.checker_events`) hand every
+    #: other observer the memory events alone: locksets ride on them.
+    lifecycle = False
+
     def on_run_begin(self, run: "RunContext") -> None:
         """Called once before the root task starts."""
 

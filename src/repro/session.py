@@ -25,8 +25,6 @@ location-sharded multiprocessing pipeline (``jobs>1``, see
     session.check("racedetector")
     session.reports          # {"optimized": ..., "racedetector": ...}
     session.first_violation  # first finding across every check so far
-
-:func:`check_trace` is the one-call convenience wrapper.
 """
 
 from __future__ import annotations
@@ -213,53 +211,30 @@ class CheckSession:
     # -- checking ----------------------------------------------------------
 
     def check(
-        self,
-        checker: Optional[CheckerSpec] = None,
-        jobs: Optional[int] = None,
-        engine: Optional[str] = None,
-        static_prefilter: Any = False,
-        checkpoint_dir: Optional[str] = None,
-        resume: bool = False,
-        on_shard_failure: str = "retry",
-        max_retries: int = 2,
-        shard_timeout: Optional[float] = None,
-        start_method: Optional[str] = None,
-        cache_dir: Optional[str] = None,
-        streaming: bool = False,
-        window: Optional[int] = None,
-        **checker_kwargs: Any,
+        self, checker: Optional[CheckerSpec] = None, **options: Any
     ) -> ViolationReport:
         """Run one checker over the source; return (and remember) its report.
 
         The keywords build one :class:`~repro.plan.CheckPlan` (kept as
-        :attr:`plan`), which refuses incompatible combinations before
-        anything runs; ``docs/api.md`` ("Check plans") describes each
-        keyword.  *checker* / *jobs* / *engine* default to the session's
-        settings; ``checker_kwargs`` are forwarded to checker
-        construction (names and classes only).  Repeated calls reuse the
-        recorded trace, so a program source executes exactly once per
-        session.  The per-call *engine* applies to offline replays -- a
-        program source's recording engine stays the session's.
+        :attr:`plan`, see :meth:`CheckPlan.from_options`), which refuses
+        incompatible combinations before anything runs; ``docs/api.md``
+        ("Check plans") describes each plan keyword, and every other
+        keyword is forwarded to checker construction (names and classes
+        only).  *checker*, ``jobs`` and ``engine`` default to the
+        session's settings.  Repeated calls reuse the recorded trace, so
+        a program source executes exactly once per session.  The per-call
+        ``engine`` applies to offline replays -- a program source's
+        recording engine stays the session's.
 
         ``static_prefilter`` and ``cache_dir`` are never silent: a refused
         filter or a bypassed cache leaves its reason in
         :attr:`prefilter_info` / :attr:`cache_info`.
         """
-        plan = CheckPlan(
-            checker=self.checker if checker is None else checker,
-            checker_kwargs=checker_kwargs,
-            jobs=self.jobs if jobs is None else jobs,
-            engine=self.engine if engine is None else engine,
-            static_prefilter=static_prefilter,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
-            on_shard_failure=on_shard_failure,
-            max_retries=max_retries,
-            shard_timeout=shard_timeout,
-            start_method=start_method,
-            cache_dir=cache_dir,
-            streaming=streaming,
-            window=window,
+        plan = CheckPlan.from_options(
+            dict(options, checker=checker),
+            checker=self.checker,
+            jobs=self.jobs,
+            engine=self.engine,
         )
         self.plan = plan
         cache_state = self._resolve_cache(plan)
@@ -273,7 +248,7 @@ class CheckSession:
                     self.recorder.count("cache.bytes", entry.nbytes)
                 self.reports[plan.checker_name] = entry.report
                 return entry.report
-        skip = self._resolve_prefilter(static_prefilter)
+        skip = self._resolve_prefilter(plan.static_prefilter)
         span = contextlib.nullcontext()
         if self.recorder.enabled:
             from repro.obs import SPAN_CHECK
@@ -517,15 +492,3 @@ class CheckSession:
             f"{checker_name_of(self.checker)!r} jobs={self.jobs} "
             f"checked={sorted(self.reports)}>"
         )
-
-
-def check_trace(
-    source: Source,
-    checker: CheckerSpec = "optimized",
-    jobs: Optional[int] = 1,
-    **session_options: Any,
-) -> ViolationReport:
-    """One-call convenience: check any source through a fresh session."""
-    return CheckSession(
-        source, checker=checker, jobs=jobs, **session_options
-    ).check()

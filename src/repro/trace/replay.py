@@ -153,6 +153,27 @@ def replay_events(
 replay_memory_events = replay_events
 
 
+def checker_events(
+    source,
+    checker: RuntimeObserver,
+    shard: Optional[int] = None,
+    jobs: Optional[int] = None,
+) -> Iterable[object]:
+    """The event stream the built *checker* consumes from *source*.
+
+    An observer with ``lifecycle = True`` (the streaming checker, the
+    schedule explorer) gets the full stream; every other checker gets the
+    memory events only.  *source* is a :class:`Trace`, returned whole, or
+    a :class:`~repro.trace.serialize.TraceReader`, for which
+    ``shard``/``jobs`` keep one shard's memory events (and, for the full
+    stream, every non-memory event).
+    """
+    if isinstance(source, Trace):
+        return source.events if checker.lifecycle else source.memory_events()
+    view = source.events if checker.lifecycle else source.memory_events
+    return view(shard=shard, jobs=jobs)
+
+
 def replay_trace(
     trace: Trace,
     checker: RuntimeObserver,
@@ -161,13 +182,10 @@ def replay_trace(
     parallel_engine: str = "lca",
     recorder=None,
 ) -> ViolationReport:
-    """Replay a full :class:`Trace` through *checker*.
-
-    Only memory events are significant to the checkers (locksets ride on
-    the events themselves); task and lock events are skipped.
-    """
-    return replay_memory_events(
-        trace.memory_events(),
+    """Replay a full :class:`Trace` through *checker*: the events
+    :func:`checker_events` selects for it."""
+    return replay_events(
+        checker_events(trace, checker),
         checker,
         dpst=trace.dpst,
         annotations=annotations,

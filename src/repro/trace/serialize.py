@@ -156,14 +156,21 @@ def event_from_dict(row: Dict[str, Any]) -> object:
     return cls(**kwargs)
 
 
-def trace_from_dict(data: Dict[str, Any]) -> Trace:
+def trace_from_dict(data: Any) -> Trace:
     """Decode a v1 trace: ``{"version": 1, "events": [...], "dpst": ...}``
     with rows from :func:`event_to_dict` and a tree from
-    :func:`dpst_to_dict`."""
+    :func:`dpst_to_dict`.  Any other shape raises :class:`TraceError`."""
+    if not isinstance(data, dict):
+        raise TraceError(f"a v1 trace is a JSON object, not {type(data).__name__}")
     if data.get("version") != 1:
         raise TraceError(f"unsupported trace version {data.get('version')!r}")
-    events = [event_from_dict(row) for row in data["events"]]
-    dpst = None if data.get("dpst") is None else dpst_from_dict(data["dpst"])
+    if not isinstance(data.get("events"), list):
+        raise TraceError("a v1 trace needs an 'events' list")
+    try:
+        events = [event_from_dict(row) for row in data["events"]]
+        dpst = None if data.get("dpst") is None else dpst_from_dict(data["dpst"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise TraceError(f"malformed v1 trace: {exc!r}") from exc
     return Trace(events, dpst=dpst)
 
 
@@ -369,7 +376,10 @@ class TraceReader:
                     f"cannot parse {self.path!r} as a trace: not a v1 JSON, "
                     f"v2 JSONL, or v3 columnar trace file ({exc})"
                 ) from exc
-            self._v1_trace = trace_from_dict(data)
+            try:
+                self._v1_trace = trace_from_dict(data)
+            except TraceError as exc:
+                raise TraceError(f"cannot read {self.path!r}: {exc}") from exc
             self.version = 1
             self.dpst = self._v1_trace.dpst
 

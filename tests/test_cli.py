@@ -60,6 +60,23 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "tasks=" in out and "lca_queries=" in out
 
+    def test_prefilter_stats_count_the_checks_queries(self, target_module, capsys):
+        # The recording run makes no parallelism queries; the check does.
+        from repro.obs import MetricsRecorder
+        from repro.runtime import TaskProgram
+        from repro.session import CheckSession
+
+        recorder = MetricsRecorder()
+        module = __import__(target_module)
+        CheckSession(TaskProgram(module.buggy), recorder=recorder).check(
+            static_prefilter=True
+        )
+        queries = int(recorder.snapshot().counters["engine.queries"])
+        assert queries > 0
+        main(["check", f"{target_module}:buggy", "--static-prefilter", "--stats"])
+        out = capsys.readouterr().out
+        assert f"lca_queries={queries}" in out
+
     def test_other_checkers(self, target_module, capsys):
         assert main(["check", f"{target_module}:buggy", "--checker", "velodrome"]) == 0
         assert main(["check", f"{target_module}:buggy", "--checker", "basic"]) == 1
@@ -137,6 +154,25 @@ class TestRecordReplay:
         capsys.readouterr()
         code = main(["replay", trace_file, "--checker", "velodrome"])
         assert code == 0  # serial trace: no cycle
+
+    def test_replay_is_check_trace(self, target_module, tmp_path, capsys):
+        trace_file = str(tmp_path / "t.trc")
+        main(["record", f"{target_module}:buggy", "-o", trace_file])
+        capsys.readouterr()
+        outputs = []
+        for command in ("replay", "check-trace"):
+            assert main([command, trace_file, "--jobs", "2", "--streaming"]) == 1
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def test_record_takes_no_checker(self, target_module, tmp_path, capsys):
+        # record never checks: flags it would ignore are usage errors.
+        for flags in (["--checker", "basic"], ["--dpst-layout", "linked"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["record", f"{target_module}:buggy", "-o",
+                      str(tmp_path / "t.jsonl"), *flags])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_record_jsonl_by_extension(self, target_module, tmp_path, capsys):
         from repro.trace.serialize import is_jsonl_trace
@@ -226,6 +262,18 @@ class TestCheckTrace:
 
         path = write_v1_trace(load_trace(trace_file), tmp_path / "t.json")
         assert main(["check-trace", path, "--jobs", "2"]) == 1
+
+    @pytest.mark.parametrize("content", ["[1, 2]", '{"version": 1}'])
+    @pytest.mark.parametrize("command", ["check-trace", "replay", "stats"])
+    def test_json_that_is_not_a_v1_trace(self, tmp_path, command, content):
+        import re
+
+        from repro.errors import TraceError
+
+        path = tmp_path / "not-a-trace.json"
+        path.write_text(content)
+        with pytest.raises(TraceError, match=re.escape(repr(str(path)))):
+            main([command, str(path)])
 
     def test_regiontrack_checker(self, trace_file, capsys):
         code = main(["check-trace", trace_file, "--checker", "regiontrack"])
@@ -375,6 +423,12 @@ class TestCheckTraceFaultTolerance:
 
 
 class TestCoverage:
+    def test_takes_no_check_flags(self, target_module):
+        for flags in (["--checker", "basic"], ["--engine", "vc"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["coverage", f"{target_module}:clean", *flags])
+            assert exc.value.code == 2
+
     def test_clean_coverage_exit_0(self, target_module, capsys):
         code = main(["coverage", f"{target_module}:buggy"])
         out = capsys.readouterr().out

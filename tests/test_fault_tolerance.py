@@ -17,7 +17,7 @@ import os
 import pytest
 
 from repro.checker import OptAtomicityChecker
-from repro.checker.sharded import check_sharded, default_jobs
+from repro.checker.sharded import default_jobs, run_plan
 from repro.checker.supervisor import (
     FAULT_KILL_ENV,
     FAULT_SLEEP_ENV,
@@ -27,6 +27,7 @@ from repro.checker.supervisor import (
 )
 from repro.errors import CheckerError
 from repro.obs import MetricsRecorder, comparable_counters
+from repro.plan import CheckPlan
 from repro.report import ViolationReport
 from repro.runtime import TaskProgram, run_program
 from repro.session import CheckSession
@@ -53,6 +54,18 @@ def recorded_trace():
     ).trace
 
 
+def drive(source, recorder=None, strict=None, retry_backoff=0.05, **options):
+    """Check *source* through the sharded driver: *options* build the
+    plan; the other keywords are driver settings a plan does not carry."""
+    return run_plan(
+        CheckPlan(**options),
+        source,
+        recorder=recorder,
+        strict=strict,
+        retry_backoff=retry_backoff,
+    )
+
+
 @pytest.fixture
 def trace_file(tmp_path):
     path = str(tmp_path / "trace.jsonl")
@@ -62,7 +75,7 @@ def trace_file(tmp_path):
 
 @pytest.fixture
 def baseline(trace_file):
-    report = check_sharded(trace_file, jobs=1)
+    report = drive(trace_file, jobs=1)
     assert report, "fixture program must produce violations"
     return report
 
@@ -108,7 +121,7 @@ class TestFailureMatrix:
         self, trace_file, baseline, monkeypatch
     ):
         monkeypatch.setenv(FAULT_KILL_ENV, "0@0")
-        report = check_sharded(trace_file, jobs=2, on_shard_failure="retry")
+        report = drive(trace_file, jobs=2, on_shard_failure="retry")
         assert keys(report) == keys(baseline)
         assert report.raw_count == baseline.raw_count
 
@@ -116,7 +129,7 @@ class TestFailureMatrix:
         self, trace_file, baseline, monkeypatch
     ):
         monkeypatch.setenv(FAULT_KILL_ENV, "1@0")
-        report = check_sharded(
+        report = drive(
             trace_file, jobs=2, on_shard_failure="inline", max_retries=0
         )
         assert keys(report) == keys(baseline)
@@ -124,12 +137,12 @@ class TestFailureMatrix:
     def test_kill_with_raise_policy_aborts(self, trace_file, monkeypatch):
         monkeypatch.setenv(FAULT_KILL_ENV, "0@0")
         with pytest.raises(CheckerError, match="shard 0 failed"):
-            check_sharded(trace_file, jobs=2, on_shard_failure="raise")
+            drive(trace_file, jobs=2, on_shard_failure="raise")
 
     def test_persistent_crash_exhausts_retries(self, trace_file, monkeypatch):
         monkeypatch.setenv(FAULT_KILL_ENV, "0@0")
         with pytest.raises(CheckerError, match="failed after 1 attempt"):
-            check_sharded(
+            drive(
                 trace_file, jobs=2, on_shard_failure="retry", max_retries=0
             )
 
@@ -139,7 +152,7 @@ class TestFailureMatrix:
         # "0@*" kills every attempt of shard 0, so all retries fail too.
         monkeypatch.setenv(FAULT_KILL_ENV, "0@*")
         with pytest.raises(CheckerError, match="failed after 3 attempt"):
-            check_sharded(
+            drive(
                 trace_file,
                 jobs=2,
                 on_shard_failure="retry",
@@ -153,7 +166,7 @@ class TestFailureMatrix:
         # Even a shard whose worker *always* dies completes inline (the
         # hooks are suspended for the in-driver call).
         monkeypatch.setenv(FAULT_KILL_ENV, "0@*")
-        report = check_sharded(
+        report = drive(
             trace_file,
             jobs=2,
             on_shard_failure="inline",
@@ -167,7 +180,7 @@ class TestFailureMatrix:
         self, trace_file, baseline, monkeypatch
     ):
         monkeypatch.setenv(FAULT_SLEEP_ENV, "0@0:30")
-        report = check_sharded(
+        report = drive(
             trace_file,
             jobs=2,
             on_shard_failure="retry",
@@ -178,9 +191,9 @@ class TestFailureMatrix:
 
     def test_in_memory_source_retries_too(self, baseline, monkeypatch):
         trace = recorded_trace()
-        fresh = check_sharded(trace, jobs=2)
+        fresh = drive(trace, jobs=2)
         monkeypatch.setenv(FAULT_KILL_ENV, "0@0")
-        report = check_sharded(trace, jobs=2, on_shard_failure="retry")
+        report = drive(trace, jobs=2, on_shard_failure="retry")
         assert keys(report) == keys(fresh) == keys(baseline)
 
     def test_failure_metrics_are_counted(
@@ -188,7 +201,7 @@ class TestFailureMatrix:
     ):
         monkeypatch.setenv(FAULT_KILL_ENV, "0@0")
         recorder = MetricsRecorder()
-        report = check_sharded(
+        report = drive(
             trace_file, jobs=2, on_shard_failure="retry", recorder=recorder
         )
         counters = recorder.snapshot().counters
@@ -200,7 +213,7 @@ class TestFailureMatrix:
     def test_inline_fallback_metric(self, trace_file, monkeypatch):
         monkeypatch.setenv(FAULT_KILL_ENV, "1@0")
         recorder = MetricsRecorder()
-        check_sharded(
+        drive(
             trace_file,
             jobs=2,
             on_shard_failure="inline",
@@ -213,7 +226,7 @@ class TestFailureMatrix:
 class TestCheckpointResume:
     def test_fresh_run_writes_manifest_and_shards(self, trace_file, tmp_path):
         ck = str(tmp_path / "ck")
-        check_sharded(trace_file, jobs=2, checkpoint_dir=ck)
+        drive(trace_file, jobs=2, checkpoint_dir=ck)
         names = sorted(os.listdir(ck))
         assert "run.json" in names
         assert [n for n in names if n.startswith("shard-")] == [
@@ -225,10 +238,10 @@ class TestCheckpointResume:
         self, trace_file, baseline, tmp_path
     ):
         ck = str(tmp_path / "ck")
-        fresh = check_sharded(trace_file, jobs=2, checkpoint_dir=ck)
+        fresh = drive(trace_file, jobs=2, checkpoint_dir=ck)
         # Simulate an interrupt: one shard's checkpoint never landed.
         os.unlink(os.path.join(ck, "shard-00001.json"))
-        resumed = check_sharded(
+        resumed = drive(
             trace_file, jobs=2, checkpoint_dir=ck, resume=True
         )
         assert resumed.describe() == fresh.describe()  # byte-identical
@@ -239,9 +252,9 @@ class TestCheckpointResume:
         self, trace_file, baseline, tmp_path
     ):
         ck = str(tmp_path / "ck")
-        check_sharded(trace_file, jobs=2, checkpoint_dir=ck)
+        drive(trace_file, jobs=2, checkpoint_dir=ck)
         recorder = MetricsRecorder()
-        resumed = check_sharded(
+        resumed = drive(
             trace_file, jobs=2, checkpoint_dir=ck, resume=True,
             recorder=recorder,
         )
@@ -254,16 +267,16 @@ class TestCheckpointResume:
         self, trace_file, tmp_path
     ):
         ck = str(tmp_path / "ck")
-        check_sharded(trace_file, jobs=2, checkpoint_dir=ck)
+        drive(trace_file, jobs=2, checkpoint_dir=ck)
         with pytest.raises(CheckerError, match="incompatible"):
-            check_sharded(trace_file, jobs=4, checkpoint_dir=ck, resume=True)
+            drive(trace_file, jobs=4, checkpoint_dir=ck, resume=True)
 
     def test_fresh_run_clears_stale_shards(self, trace_file, tmp_path):
         ck = str(tmp_path / "ck")
-        check_sharded(trace_file, jobs=4, checkpoint_dir=ck)
+        drive(trace_file, jobs=4, checkpoint_dir=ck)
         # Same directory, new configuration, no resume: stale shard
         # files from the jobs=4 run must not leak into a jobs=2 merge.
-        check_sharded(trace_file, jobs=2, checkpoint_dir=ck)
+        drive(trace_file, jobs=2, checkpoint_dir=ck)
         shards = [n for n in os.listdir(ck) if n.startswith("shard-")]
         assert sorted(shards) == ["shard-00000.json", "shard-00001.json"]
 
@@ -271,11 +284,11 @@ class TestCheckpointResume:
         self, trace_file, baseline, tmp_path
     ):
         ck = str(tmp_path / "ck")
-        check_sharded(trace_file, jobs=2, checkpoint_dir=ck)
+        drive(trace_file, jobs=2, checkpoint_dir=ck)
         torn = os.path.join(ck, "shard-00000.json")
         with open(torn, "w", encoding="utf-8") as handle:
             handle.write('{"schema": "repro-checkpoint/1", "shard"')
-        resumed = check_sharded(
+        resumed = drive(
             trace_file, jobs=2, checkpoint_dir=ck, resume=True
         )
         assert keys(resumed) == keys(baseline)
@@ -284,9 +297,9 @@ class TestCheckpointResume:
         self, trace_file, baseline, tmp_path
     ):
         ck = str(tmp_path / "ck")
-        first = check_sharded(trace_file, jobs=1, checkpoint_dir=ck)
+        first = drive(trace_file, jobs=1, checkpoint_dir=ck)
         assert os.path.exists(os.path.join(ck, "shard-00000.json"))
-        resumed = check_sharded(
+        resumed = drive(
             trace_file, jobs=1, checkpoint_dir=ck, resume=True
         )
         assert first.describe() == resumed.describe() == baseline.describe()
@@ -300,13 +313,13 @@ class TestCheckpointResume:
         ck = str(tmp_path / "ck")
         monkeypatch.setenv(FAULT_KILL_ENV, "0@*")
         with pytest.raises(CheckerError):
-            check_sharded(
+            drive(
                 trace_file, jobs=2, checkpoint_dir=ck, max_retries=2,
                 retry_backoff=0.2,
             )
         assert os.path.exists(os.path.join(ck, "shard-00001.json"))
         monkeypatch.delenv(FAULT_KILL_ENV)
-        resumed = check_sharded(
+        resumed = drive(
             trace_file, jobs=2, checkpoint_dir=ck, resume=True
         )
         assert keys(resumed) == keys(baseline)
@@ -340,12 +353,12 @@ class TestResumeCompatibility:
         violating = self.record("pattern_rwr", tmp_path)
         safe = self.record("pattern_rrr", tmp_path)
         ck = str(tmp_path / "ck")
-        assert check_sharded(violating, jobs=jobs, checkpoint_dir=ck)
-        assert not check_sharded(safe, jobs=jobs)
+        assert drive(violating, jobs=jobs, checkpoint_dir=ck)
+        assert not drive(safe, jobs=jobs)
         # Resuming would otherwise serve pattern_rwr's 'X' violation as
         # the verdict on the safe pattern_rrr trace.
         with pytest.raises(CheckerError, match="incompatible run"):
-            check_sharded(safe, jobs=jobs, checkpoint_dir=ck, resume=True)
+            drive(safe, jobs=jobs, checkpoint_dir=ck, resume=True)
 
     def test_resume_with_other_checker_kwargs_is_refused(
         self, trace_file, tmp_path
@@ -362,14 +375,14 @@ class TestResumeCompatibility:
     ):
         ck = str(tmp_path / "ck")
         CheckSession(trace_file, jobs=2).check(checkpoint_dir=ck)
-        resumed = check_sharded(
+        resumed = drive(
             trace_file, jobs=2, checkpoint_dir=ck, resume=True
         )
         assert keys(resumed) == keys(baseline)
 
     def test_resume_without_checkpoint_is_refused(self, trace_file):
         with pytest.raises(CheckerError, match="checkpoint_dir=DIR"):
-            check_sharded(trace_file, jobs=2, resume=True)
+            drive(trace_file, jobs=2, resume=True)
         with pytest.raises(CheckerError, match="checkpoint_dir=DIR"):
             CheckSession(trace_file).check(resume=True)
 
@@ -382,11 +395,11 @@ class TestSuiteEquivalence:
             result = run_program(case.build(), record_trace=True)
             path = str(tmp_path / f"{case.name}.jsonl")
             dump_trace_jsonl(result.trace, path)
-            base = check_sharded(path, jobs=1)
+            base = drive(path, jobs=1)
 
             os.environ[FAULT_KILL_ENV] = f"{index % 2}@0"
             try:
-                faulted = check_sharded(
+                faulted = drive(
                     path, jobs=2, on_shard_failure="retry", retry_backoff=0.01
                 )
             finally:
@@ -395,9 +408,9 @@ class TestSuiteEquivalence:
             assert faulted.raw_count == base.raw_count, case.name
 
             ck = str(tmp_path / f"ck-{case.name}")
-            fresh = check_sharded(path, jobs=2, checkpoint_dir=ck)
+            fresh = drive(path, jobs=2, checkpoint_dir=ck)
             os.unlink(os.path.join(ck, f"shard-{index % 2:05d}.json"))
-            resumed = check_sharded(
+            resumed = drive(
                 path, jobs=2, checkpoint_dir=ck, resume=True
             )
             assert resumed.describe() == fresh.describe(), case.name
@@ -414,12 +427,12 @@ class TestLenientChecking:
     def test_strict_check_raises_on_garbage(self, trace_file):
         self.corrupt(trace_file)
         with pytest.raises(Exception):
-            check_sharded(trace_file, jobs=1)
+            drive(trace_file, jobs=1)
 
     def test_lenient_matches_clean_verdict(self, trace_file, baseline):
         self.corrupt(trace_file)
         for jobs in (1, 2):
-            report = check_sharded(trace_file, jobs=jobs, strict=False)
+            report = drive(trace_file, jobs=jobs, strict=False)
             assert keys(report) == keys(baseline), jobs
 
     def test_lenient_skip_count_agrees_across_job_counts(
@@ -429,7 +442,7 @@ class TestLenientChecking:
         totals = {}
         for jobs in (1, 4):
             recorder = MetricsRecorder()
-            report = check_sharded(
+            report = drive(
                 trace_file, jobs=jobs, strict=False, recorder=recorder
             )
             assert keys(report) == keys(baseline)
@@ -444,10 +457,10 @@ class TestLenientChecking:
     ):
         self.corrupt(trace_file)
         solo = MetricsRecorder()
-        check_sharded(trace_file, jobs=1, strict=False, recorder=solo)
+        drive(trace_file, jobs=1, strict=False, recorder=solo)
         monkeypatch.setenv(FAULT_KILL_ENV, "2@0")
         sharded = MetricsRecorder()
-        report = check_sharded(
+        report = drive(
             trace_file,
             jobs=4,
             strict=False,
@@ -462,25 +475,25 @@ class TestLenientChecking:
 
 class TestStartMethods:
     def test_spawn_produces_identical_report(self, trace_file, baseline):
-        forked = check_sharded(trace_file, jobs=2)
-        spawned = check_sharded(trace_file, jobs=2, start_method="spawn")
+        forked = drive(trace_file, jobs=2)
+        spawned = drive(trace_file, jobs=2, start_method="spawn")
         assert spawned.describe() == forked.describe()  # byte-identical
         assert keys(spawned) == keys(baseline)
 
     def test_unknown_start_method_rejected(self, trace_file):
         with pytest.raises(CheckerError, match="not available"):
-            check_sharded(trace_file, jobs=2, start_method="teleport")
+            drive(trace_file, jobs=2, start_method="teleport")
 
     def test_env_override_is_honored(self, trace_file, monkeypatch):
         monkeypatch.setenv("REPRO_START_METHOD", "teleport")
         with pytest.raises(CheckerError, match="not available"):
-            check_sharded(trace_file, jobs=2)
+            drive(trace_file, jobs=2)
 
     def test_unpicklable_payload_is_a_clear_error(self, trace_file):
         checker = OptAtomicityChecker()
         checker.unpicklable = lambda: None  # closures cannot be pickled
         with pytest.raises(CheckerError, match="picklable"):
-            check_sharded(
+            drive(
                 trace_file, jobs=2, checker=checker, start_method="spawn"
             )
 
@@ -499,29 +512,29 @@ class TestDriverBugfixes:
         assert default_jobs() == 5
 
     def test_owned_reader_closed_after_success(self, trace_file):
-        # check_sharded opens (and must close) readers it creates itself.
-        report = check_sharded(trace_file, jobs=1)
+        # The driver opens (and must close) readers it creates itself.
+        report = drive(trace_file, jobs=1)
         assert isinstance(report, ViolationReport)
         # A second full check re-opens cleanly; nothing holds the file.
-        assert keys(check_sharded(trace_file, jobs=2)) == keys(report)
+        assert keys(drive(trace_file, jobs=2)) == keys(report)
 
     def test_owned_reader_closed_on_worker_failure(
         self, trace_file, monkeypatch
     ):
         monkeypatch.setenv(FAULT_KILL_ENV, "0@0")
         with pytest.raises(CheckerError):
-            check_sharded(
+            drive(
                 trace_file, jobs=2, on_shard_failure="raise"
             )
         # The path is still checkable: no leaked handle, no stale state.
         monkeypatch.delenv(FAULT_KILL_ENV)
-        assert check_sharded(trace_file, jobs=2)
+        assert drive(trace_file, jobs=2)
 
     def test_caller_reader_left_open(self, trace_file):
         from repro.trace.serialize import open_trace
 
         reader = open_trace(trace_file)
-        check_sharded(reader, jobs=2)
+        drive(reader, jobs=2)
         assert not reader.closed  # caller-owned: caller closes
         reader.close()
 

@@ -1,14 +1,14 @@
 """Check plans: one place validates every check option.
 
-``CheckSession.check``, ``check_sharded`` and ``repro check-trace`` all
-build a :class:`repro.plan.CheckPlan`, so each refused combination is
-refused by every entry point with the same reason text -- the table at
-the top of this module is the contract.  The rest covers what the plan
-derives: the resolved jobs and window, the built checker, result-cache
-keys (identical to the historical formula) and the checkpoint manifest.
+``CheckSession.check``, the sharded driver ``run_plan`` and ``repro
+check-trace`` all run a :class:`repro.plan.CheckPlan`, so each refused
+combination is refused by every entry point with the same reason text --
+the table at the top of this module is the contract.  The rest covers
+what the plan derives: the resolved jobs and window, the built checker,
+result-cache keys (identical to the historical formula), the checkpoint
+manifest, and the CLI flags spelled from the plan's fields.
 """
 
-import inspect
 import json
 import os
 import pickle
@@ -18,11 +18,11 @@ import pytest
 
 from repro import CheckSession, TaskProgram, run_program
 from repro.cache import file_digest, result_cache_key, source_digest
-from repro.checker.sharded import check_sharded
+from repro.checker.sharded import run_plan
 from repro.checker.streaming import DEFAULT_WINDOW, StreamingChecker
 from repro.cli import main
 from repro.errors import CheckerError, TraceError
-from repro.plan import CheckPlan, UsageError, default_jobs
+from repro.plan import PLAN_FIELDS, CheckPlan, UsageError, default_jobs
 from repro.trace.serialize import dump_trace
 
 
@@ -50,21 +50,18 @@ def trace_file(tmp_path):
 # Refusals: one table, three entry points
 # ---------------------------------------------------------------------------
 
-#: (id, CheckSession.check kwargs, check_sharded kwargs or None when it
-#: has no spelling for the option, check-trace flags, exception type,
-#: shared reason text).
+#: (id, check keywords, check-trace flags, exception type, shared reason
+#: text).
 REFUSALS = [
     (
         "window-without-streaming",
         {"window": 8},
-        None,
         ["--window", "8"],
         UsageError,
         "window only applies to streaming checks",
     ),
     (
         "resume-without-checkpoint",
-        {"resume": True},
         {"resume": True},
         ["--resume"],
         UsageError,
@@ -73,14 +70,12 @@ REFUSALS = [
     (
         "jobs-below-one",
         {"jobs": -1},
-        {"jobs": -1},
         ["--jobs", "-1"],
         TraceError,
         "jobs must be >= 1",
     ),
     (
         "velodrome-sharded",
-        {"checker": "velodrome", "jobs": 2},
         {"checker": "velodrome", "jobs": 2},
         ["--checker", "velodrome", "--jobs", "2"],
         CheckerError,
@@ -90,7 +85,6 @@ REFUSALS = [
     (
         f"streaming-{name}",
         {"checker": name, "streaming": True},
-        None,
         ["--checker", name, "--streaming"],
         CheckerError,
         "cannot stream",
@@ -103,33 +97,28 @@ REFUSAL_IDS = [row[0] for row in REFUSALS]
 
 class TestRefusalTable:
     @pytest.mark.parametrize(
-        "session_kwargs, error, reason",
-        [(row[1], row[4], row[5]) for row in REFUSALS],
+        "options, error, reason",
+        [(row[1], row[3], row[4]) for row in REFUSALS],
         ids=REFUSAL_IDS,
     )
-    def test_session_check(self, trace_file, session_kwargs, error, reason):
+    def test_session_check(self, trace_file, options, error, reason):
         with pytest.raises(error, match=reason):
-            CheckSession(trace_file).check(**session_kwargs)
+            CheckSession(trace_file).check(**options)
 
     @pytest.mark.parametrize(
-        "sharded_kwargs, error, reason",
-        [(row[2], row[4], row[5]) for row in REFUSALS],
+        "options, error, reason",
+        [(row[1], row[3], row[4]) for row in REFUSALS],
         ids=REFUSAL_IDS,
     )
-    def test_check_sharded(self, trace_file, sharded_kwargs, error, reason):
-        if sharded_kwargs is None:
-            # check_sharded has no streaming/window keywords: streaming
-            # is CheckSession.check's wrap, so there is nothing to refuse.
-            parameters = inspect.signature(check_sharded).parameters
-            assert "streaming" not in parameters
-            assert "window" not in parameters
-            return
+    def test_check_sharded(self, trace_file, options, error, reason):
+        # The sharded driver runs plans only: the refusal happens while
+        # the plan is built, before run_plan sees the trace.
         with pytest.raises(error, match=reason):
-            check_sharded(trace_file, **sharded_kwargs)
+            run_plan(CheckPlan.from_options(options), trace_file)
 
     @pytest.mark.parametrize(
         "flags, error, reason",
-        [(row[3], row[4], row[5]) for row in REFUSALS],
+        [(row[2], row[3], row[4]) for row in REFUSALS],
         ids=REFUSAL_IDS,
     )
     def test_check_trace_cli(self, trace_file, flags, error, reason):
@@ -267,3 +256,48 @@ class TestDerived:
         session.check(streaming=True, window=0)
         assert session.plan.jobs == 2
         assert session.plan.streaming and session.plan.sweep_window is None
+
+
+# ---------------------------------------------------------------------------
+# One list of keywords: from_options and the CLI derive from the fields
+# ---------------------------------------------------------------------------
+
+
+class TestOneKeywordList:
+    def test_from_options_splits_plan_fields_from_checker_kwargs(self):
+        plan = CheckPlan.from_options({"jobs": 2, "mode": "thorough"})
+        assert plan.jobs == 2
+        assert plan.checker_kwargs == {"mode": "thorough"}
+
+    def test_defaults_fill_missing_and_none_options(self):
+        plan = CheckPlan.from_options(
+            {"checker": None, "engine": "vc"},
+            checker="basic",
+            jobs=3,
+            engine="depa",
+        )
+        assert (plan.checker, plan.jobs, plan.engine) == ("basic", 3, "vc")
+
+    def test_session_check_takes_no_keyword_of_its_own(self):
+        # Every keyword besides the positional checker goes to the plan.
+        import inspect
+
+        parameters = inspect.signature(CheckSession.check).parameters
+        assert list(parameters) == ["self", "checker", "options"]
+
+    def test_check_trace_has_one_flag_per_plan_field(self):
+        from repro.cli import _plan_options, build_parser
+
+        args = build_parser().parse_args(["check-trace", "t.jsonl"])
+        options = _plan_options(args)
+        assert set(options) == set(PLAN_FIELDS)
+        # The flags' defaults are the plan's own.
+        default = CheckPlan()
+        assert options == {name: getattr(default, name) for name in PLAN_FIELDS}
+
+    def test_usage_error_spelled_by_a_front_end(self):
+        with pytest.raises(UsageError) as refused:
+            CheckPlan(window=8)
+        assert str(refused.value).startswith("window= needs streaming=True: ")
+        spelled = refused.value.spelled(lambda name, valued: name.upper())
+        assert spelled.startswith("WINDOW needs STREAMING: ")

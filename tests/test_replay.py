@@ -8,11 +8,20 @@ claim.
 
 import pytest
 
-from repro.checker import BasicAtomicityChecker, OptAtomicityChecker, VelodromeChecker
+from repro.checker import (
+    BasicAtomicityChecker,
+    ExploringVelodrome,
+    OptAtomicityChecker,
+    VelodromeChecker,
+)
 from repro.errors import TraceError
+from repro.report import normalize_report
 from repro.runtime import TaskProgram, run_program
+from repro.session import CheckSession
+from repro.suite import all_cases
 from repro.trace.explore import InterleavingExplorer
-from repro.trace.replay import replay_memory_events, replay_trace
+from repro.trace.replay import checker_events, replay_memory_events, replay_trace
+from repro.trace.serialize import dump_trace, open_trace
 from repro.trace.trace import Trace
 
 
@@ -50,6 +59,39 @@ class TestOfflineEqualsOnline:
         replayed = replay_trace(result.trace, make_checker())
         assert set(replayed.locations()) == set(live_checker.report.locations())
         assert len(replayed) == len(live_checker.report)
+
+
+@pytest.mark.parametrize("case", all_cases(), ids=lambda case: case.name)
+def test_offline_explorer_matches_live(case):
+    """The schedule explorer also gets the trace's lock events offline:
+    without them it enumerates schedules the locks forbid."""
+    program = case.build()
+    live = ExploringVelodrome()
+    result = run_program(program, observers=[live], record_trace=True)
+    expected = normalize_report(live.report)
+    annotations = program.annotations
+    replayed = replay_trace(
+        result.trace, ExploringVelodrome(), annotations=annotations
+    )
+    checked = CheckSession(
+        result.trace, checker="velodrome+explorer", annotations=annotations
+    ).check()
+    assert normalize_report(replayed) == expected
+    assert normalize_report(checked) == expected
+
+
+def test_memory_only_checkers_get_memory_events_only(tmp_path):
+    """Lifecycle-free checkers read no task or lock event, so a v3 reader
+    decodes only the memory frames for them."""
+    result = record(rmw_vs_writer)
+    path = str(tmp_path / "t.trc")
+    dump_trace(result.trace, path)
+    with open_trace(path) as reader:
+        events = list(checker_events(reader, OptAtomicityChecker()))
+    assert events == result.trace.memory_events()
+    assert list(checker_events(result.trace, ExploringVelodrome())) == (
+        result.trace.events
+    )
 
 
 class TestPermutationInvariance:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import CheckSession, TaskProgram, check_trace, run_program
+from repro import CheckSession, TaskProgram, run_program
 from repro.checker import BasicAtomicityChecker, OptAtomicityChecker
 from repro.errors import TraceError
 from repro.report import ViolationReport
@@ -174,14 +174,16 @@ class TestErrors:
 
 
 class TestConvenienceWrapper:
+    """One expression checks any source: ``CheckSession(source).check()``."""
+
     def test_check_trace_on_every_source_shape(self, tmp_path):
         trace = recorded_trace()
         path = str(tmp_path / "t.jsonl")
         dump_trace(trace, path)
         for source in (TaskProgram(buggy_body), trace, path):
-            assert set(check_trace(source).locations()) == {"X"}
+            assert set(CheckSession(source).check().locations()) == {"X"}
 
     def test_check_trace_jobs(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
         dump_trace(recorded_trace(), path)
-        assert check_trace(path, jobs=2)
+        assert CheckSession(path, jobs=2).check()

@@ -11,14 +11,11 @@ JSONL trace file.
 import pytest
 
 from repro.checker import OptAtomicityChecker, make_checker
-from repro.checker.sharded import (
-    check_sharded,
-    partition_memory_events,
-    shard_for_location,
-)
+from repro.checker.sharded import partition_events, shard_for_location
 from repro.errors import CheckerError, TraceError
 from repro.report import ViolationReport
 from repro.runtime import TaskProgram, run_program
+from repro.session import CheckSession
 from repro.suite import all_cases
 from repro.trace import GeneratorConfig, TraceGenerator
 from repro.trace.serialize import dump_trace_jsonl
@@ -49,7 +46,7 @@ class TestShardFunction:
 
     def test_partition_preserves_order_and_events(self):
         trace = TraceGenerator(GeneratorConfig(tasks=6, locations=4, seed=3)).generate_trace()
-        shards = partition_memory_events(trace.events, 4)
+        shards = partition_events(trace.memory_events(), 4)
         flattened = [e for shard in shards for e in shard]
         assert sorted(e.seq for e in flattened) == [
             e.seq for e in trace.memory_events()
@@ -71,12 +68,9 @@ class TestSuiteEquivalence:
         live_report, trace = record(program)
         assert set(live_report.locations()) == set(case.expected)
         for jobs in (1, 4):
-            sharded = check_sharded(
-                trace,
-                checker="optimized",
-                jobs=jobs,
-                annotations=program.annotations,
-            )
+            sharded = CheckSession(
+                trace, jobs=jobs, annotations=program.annotations
+            ).check()
             assert violation_keys(sharded) == violation_keys(live_report), (
                 f"{case.name}: jobs={jobs} diverged"
             )
@@ -108,7 +102,7 @@ class TestFuzzEquivalence:
         program = TraceGenerator(config).generate_program()
         live_report, trace = record(program)
         for jobs in (1, 4):
-            sharded = check_sharded(trace, checker="optimized", jobs=jobs)
+            sharded = CheckSession(trace, jobs=jobs).check()
             assert violation_keys(sharded) == violation_keys(live_report)
 
     def test_file_streamed_sharding(self, config, tmp_path):
@@ -117,7 +111,7 @@ class TestFuzzEquivalence:
         path = str(tmp_path / "trace.jsonl")
         dump_trace_jsonl(trace, path)
         for jobs in (1, 4):
-            sharded = check_sharded(path, checker="optimized", jobs=jobs)
+            sharded = CheckSession(path, jobs=jobs).check()
             assert violation_keys(sharded) == violation_keys(live_report)
 
 
@@ -154,15 +148,17 @@ class TestMultivarGroups:
         live_report, trace = record(program)
         assert live_report  # the cross-variable violation exists
         for jobs in (2, 3, 4, 5):
-            sharded = check_sharded(
+            sharded = CheckSession(
                 trace, jobs=jobs, annotations=program.annotations
-            )
+            ).check()
             assert violation_keys(sharded) == violation_keys(live_report), jobs
 
     def test_grouped_partition_lands_in_one_shard(self):
         program = self.multivar_program()
         _, trace = record(program)
-        shards = partition_memory_events(trace.events, 4, program.annotations)
+        shards = partition_events(
+            trace.memory_events(), 4, program.annotations
+        )
         populated = [shard for shard in shards if shard]
         assert len(populated) == 1  # both members hash via the group key
 
@@ -171,39 +167,38 @@ class TestDriverContract:
     def test_trace_order_sensitive_checker_refused(self):
         trace = TraceGenerator(GeneratorConfig(seed=5)).generate_trace()
         with pytest.raises(CheckerError):
-            check_sharded(trace, checker="velodrome", jobs=2)
+            CheckSession(trace, checker="velodrome", jobs=2).check()
 
     def test_velodrome_allowed_in_process(self):
         trace = TraceGenerator(GeneratorConfig(seed=5)).generate_trace()
-        report = check_sharded(trace, checker="velodrome", jobs=1)
+        report = CheckSession(trace, checker="velodrome").check()
         assert isinstance(report, ViolationReport)
 
     def test_checker_instance_and_class_specs(self):
         _, trace = record(
             TraceGenerator(GeneratorConfig(tasks=5, seed=7)).generate_program()
         )
-        by_name = check_sharded(trace, checker="optimized", jobs=2)
-        by_class = check_sharded(trace, checker=OptAtomicityChecker, jobs=2)
-        by_instance = check_sharded(
-            trace, checker=OptAtomicityChecker(mode="thorough"), jobs=2
-        )
+        session = CheckSession(trace, jobs=2)
+        by_name = session.check("optimized")
+        by_class = session.check(OptAtomicityChecker)
+        by_instance = session.check(OptAtomicityChecker(mode="thorough"))
         assert violation_keys(by_class) == violation_keys(by_name)
         assert violation_keys(by_instance) >= violation_keys(by_name)
 
     def test_bad_jobs_rejected(self):
         trace = TraceGenerator(GeneratorConfig(seed=1)).generate_trace()
         with pytest.raises(TraceError):
-            check_sharded(trace, jobs=0)
+            CheckSession(trace, jobs=0).check()
 
     def test_bad_source_rejected(self):
         with pytest.raises(TraceError):
-            check_sharded(12345, jobs=1)
+            CheckSession(12345)
 
     def test_merge_classmethod_dedupes_and_sums_raw_count(self):
         _, trace = record(
             TraceGenerator(GeneratorConfig(tasks=5, seed=9)).generate_program()
         )
-        report = check_sharded(trace, jobs=1)
+        report = CheckSession(trace).check()
         merged = ViolationReport.merge([report, report])
         assert violation_keys(merged) == violation_keys(report)
         assert merged.raw_count == 2 * report.raw_count
